@@ -1,7 +1,7 @@
 """Phase estimation in a Mach-Zehnder interferometer with Gaussian input states.
 
 Quantum Fisher information and the Cramer-Rao bound, exact sensitivities of
-three realistic detection schemes with and without detector loss, the optimal
+three realistic detection schemes at any detector efficiency, the optimal
 phase-matching-condition atlas, Heisenberg-scaling analysis, and a truncated
 Fock-space oracle that cross-verifies every closed form.
 """
@@ -13,7 +13,6 @@ from .fisher import FisherMatrix, fisher_matrix, qcrb, qfi, qfi_closed_form
 from .heisenberg import (HeisenbergOptima, PowerFractions, asymptotic_qfi,
                          heisenberg_optima)
 from .interferometer import BsConvention, MziScenario, mode_map
-from .losses import lossy_optimal_working_point, lossy_sensitivity
 from .pmc import (PmcSet, RegimeBoundaries, apply_pmc, boundaries, classify,
                   grid_search_qfi, single_mode_alpha_lim)
 from .states import Coherent, GaussianPort, PortMoments, Squeeze, port_moments
@@ -25,8 +24,7 @@ __all__ = [
     "PortMoments", "PowerFractions", "RegimeBoundaries", "SensitivityPoint",
     "SingleModeIntensity", "Squeeze", "apply_pmc", "asymptotic_qfi",
     "boundaries", "classify", "fisher_matrix", "grid_search_qfi",
-    "heisenberg_optima", "lossy_optimal_working_point", "lossy_sensitivity",
-    "mode_map", "observable_mean", "observable_variance",
+    "heisenberg_optima", "mode_map", "observable_mean", "observable_variance",
     "optimal_working_point", "port_moments", "qcrb", "qfi", "qfi_closed_form",
     "sensitivity", "single_mode_alpha_lim", "upsilon_minus", "upsilon_plus",
 ]

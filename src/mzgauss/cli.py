@@ -13,6 +13,7 @@ bytes are a pure function of config plus seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,8 +21,9 @@ from typing import IO
 
 import numpy as np
 
-from . import detection, losses, oracle
-from .errors import ConfigError, FlatObjective, MzGaussError, TruncationError
+from . import detection, oracle
+from .errors import (ConfigError, FlatObjective, InvalidEfficiency, MzGaussError,
+                     TruncationError)
 from .fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
 from .heisenberg import PowerFractions, asymptotic_qfi, heisenberg_optima
 from .interferometer import BsConvention, MziScenario
@@ -58,10 +60,17 @@ _SCHEME_NAMES = {
 }
 
 
+def _finite(value: float, key: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"field {key}: expected a finite number, got {value!r}")
+    return value
+
+
 def parse_angle(value, key: str = "") -> float:
     """Numbers pass through; strings may carry a '*pi' suffix for exactness."""
+    key = key or "angle"
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(float(value), key)
     text = str(value).strip().replace(" ", "")
     try:
         if text.endswith("pi"):
@@ -70,17 +79,18 @@ def parse_angle(value, key: str = "") -> float:
                 return math.pi
             if head == "-":
                 return -math.pi
-            return float(head) * math.pi
-        return float(text)
+            return _finite(float(head) * math.pi, key)
+        return _finite(float(text), key)
     except ValueError:
-        raise ConfigError(f"field {key or 'angle'}: cannot parse angle {value!r}") from None
+        raise ConfigError(f"field {key}: cannot parse angle {value!r}") from None
 
 
 def _parse_number(value, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"field {key}: expected a number, got {value!r}") from None
+    return _finite(number, key)
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -231,53 +241,64 @@ def cmd_qfi(cfg: dict, out: IO[str], err: IO[str]) -> int:
     return 0
 
 
-def _sensitivities(schemes, cfg, scenario, at_optimum: bool):
+def _sensitivities(schemes, scenario, at_optimum: bool):
     values = []
-    for tag in schemes:
-        scheme = _scheme_object(tag, cfg)
+    for scheme in schemes:
         try:
             if at_optimum:
-                if scenario.efficiency < 1.0:
-                    point = losses.lossy_optimal_working_point(scheme, scenario)
-                else:
-                    point = detection.optimal_working_point(scheme, scenario)
+                point = detection.optimal_working_point(scheme, scenario)
             else:
-                point = losses.lossy_sensitivity(scheme, scenario)
+                point = detection.sensitivity(scheme, scenario)
         except FlatObjective:
             point = detection.SensitivityPoint(scenario.phase, math.inf)
         values.append(point.delta_phi)
     return values
 
 
+_SWEEP_KEYS = {"phi": "phase", "alpha": "port1.alpha.magnitude",
+               "beta": "port0.beta.magnitude", "eta": "efficiency"}
+
+
+def _bound(scenario: MziScenario, shots: int) -> float:
+    fisher_value = qfi(fisher_matrix(scenario))
+    return qcrb(fisher_value, shots) if fisher_value > 0 else math.inf
+
+
 def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: IO[str]) -> int:
     if steps < 2:
         raise ConfigError("sweep requires steps >= 2")
-    schemes = _schemes_from_config(cfg)
+    if axis not in _SWEEP_KEYS:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    tags = _schemes_from_config(cfg)
+    schemes = [_scheme_object(tag, cfg) for tag in tags]
     n = _normalized(cfg)
     lo = parse_angle(start, "start") if axis == "phi" else _parse_number(start, "start")
     hi = parse_angle(stop, "stop") if axis == "phi" else _parse_number(stop, "stop")
     grid = np.linspace(lo, hi, steps)
 
+    def scenario_at(value):
+        return build_scenario(dict(cfg, **{_SWEEP_KEYS[axis]: float(value)}))
+
+    at_optimum = axis in ("alpha", "beta")
+    if not at_optimum:
+        # neither the phase nor the efficiency enters the ports or the Fisher matrix
+        base = scenario_at(grid[0])
+        bound = _bound(base, n["shots"])
     rows = []
     for value in grid:
-        local = dict(cfg)
-        if axis == "phi":
-            local["phase"] = float(value)
-        elif axis == "alpha":
-            local["port1.alpha.magnitude"] = float(value)
-        elif axis == "beta":
-            local["port0.beta.magnitude"] = float(value)
-        elif axis == "eta":
-            local["efficiency"] = float(value)
+        if at_optimum:
+            scenario = scenario_at(value)
+            bound = _bound(scenario, n["shots"])
+        elif axis == "phi":
+            scenario = base.with_phase(float(value))
         else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-        scenario = build_scenario(local)
-        fisher_value = qfi(fisher_matrix(scenario))
-        bound = qcrb(fisher_value, n["shots"]) if fisher_value > 0 else math.inf
-        at_optimum = axis in ("alpha", "beta")
-        rows.append([value, *_sensitivities(schemes, local, scenario, at_optimum), bound])
+            try:
+                scenario = base.with_efficiency(float(value))
+            except InvalidEfficiency as exc:
+                raise ConfigError(str(exc)) from None
+        rows.append([value, *_sensitivities(schemes, scenario, at_optimum), bound])
 
-    header = [axis] + [f"delta_phi_{tag}" for tag in schemes] + ["delta_phi_qcrb"]
+    header = [axis] + [f"delta_phi_{tag}" for tag in tags] + ["delta_phi_qcrb"]
     _write_csv(out, [_config_comment(cfg), f"# axis: {axis} from {fmt(lo)} to {fmt(hi)} in {steps} steps"],
                header, rows)
     err.write(f"sweep: {steps} rows over {axis}\n")
@@ -331,8 +352,8 @@ def _parse_fraction(text: str, key: str) -> float:
     try:
         if "/" in text:
             num, _, den = text.partition("/")
-            return float(num) / float(den)
-        return float(text)
+            return _finite(float(num) / float(den), key)
+        return _finite(float(text), key)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"field {key}: cannot parse fraction {text!r}") from None
 
@@ -453,6 +474,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="override a config key; angles accept a '*pi' suffix")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzgauss",

@@ -6,6 +6,12 @@ and balanced homodyne detection of the port-4 quadrature.  Every quantity is
 computed from the two ports' moments through one generic path; the cube
 beam-splitter convention enters as a phase rotation of port 0.
 
+Detector efficiency eta < 1 is the standard fictitious beam splitter of
+transmission sqrt(eta) in front of each ideal detector.  Referred to the ideal
+observable (divided by eta^2), it adds (1 - eta)/eta times the detected photon
+number to the variance of a number observable and (1 - eta)/(4 eta) of vacuum
+noise to the homodyne one; the slope of the mean scales out.
+
 Where the phase sensitivity loses meaning (vanishing slope of the mean, or a
 parameter choice that removes all phase dependence from the observable) the
 infinity marker is returned instead of raising.
@@ -21,9 +27,9 @@ from typing import Union
 import numpy as np
 
 from ._minimize import golden_minimize
-from .errors import FlatObjective, NegativeVariance
+from .errors import FlatObjective
 from .interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
-from .states import TWO_PI, PortMoments, port_moments
+from .states import TWO_PI, PortMoments, pair_terms
 
 
 @dataclass(frozen=True)
@@ -70,32 +76,22 @@ class SensitivityPoint:
 
 def effective_moments(scenario: MziScenario) -> tuple[PortMoments, PortMoments]:
     """(port0, port1) moments with the cube convention folded into port 0."""
-    p0 = port_moments(scenario.port0)
-    p1 = port_moments(scenario.port1)
+    p0 = scenario.port0.moments
+    p1 = scenario.port1.moments
     if scenario.convention is BsConvention.CUBE:
         p0 = p0.rotated(CUBE_PORT0_ROTATION)
     return p0, p1
 
 
-def _local_phase(scheme: Homodyne, scenario: MziScenario) -> float:
-    if scheme.local_phase is None:
-        return scenario.port1.displacement.phase
-    return scheme.local_phase
-
-
-def _checked_variance(value: float) -> float:
-    if value < -1e-9:
-        raise NegativeVariance(f"closed-form variance evaluated to {value}")
-    return max(value, 0.0)
-
-
-# cross-port combinations shared by several formulas
-def _pair_terms(p0: PortMoments, p1: PortMoments):
-    base = (p0.mean_n + p1.mean_n
-            + 2.0 * (p0.mean_n * p1.mean_n - abs(p0.mean_a) ** 2 * abs(p1.mean_a) ** 2))
-    cross = (p0.mean_a2 * p1.mean_a2.conjugate()
-             - p0.mean_a ** 2 * p1.mean_a.conjugate() ** 2).real
-    return base, cross
+def _setup(scheme: DetectionScheme, scenario: MziScenario):
+    """Moments, local-oscillator phase and loss excess (1 - eta)/eta of a scenario."""
+    p0, p1 = effective_moments(scenario)
+    phi_l = None
+    if isinstance(scheme, Homodyne):
+        phi_l = scheme.local_phase
+        if phi_l is None:
+            phi_l = scenario.port1.displacement.phase
+    return p0, p1, phi_l, (1.0 - scenario.efficiency) / scenario.efficiency
 
 
 def _nd_mean(p0, p1, phi):
@@ -109,7 +105,7 @@ def _nd_slope(p0, p1, phi):
 
 
 def _nd_var(p0, p1, phi):
-    base, cross = _pair_terms(p0, p1)
+    base, cross = pair_terms(p0, p1)
     corr = (p0.corr_na.conjugate() * p1.mean_a
             - p0.mean_a * p1.corr_na.conjugate()).real
     return (math.cos(phi) ** 2 * (p0.var_n + p1.var_n)
@@ -130,7 +126,7 @@ def _n4_slope(p0, p1, phi):
 def _n4_var(p0, p1, phi):
     half = 0.5 * phi
     sin_phi = math.sin(phi)
-    base, cross = _pair_terms(p0, p1)
+    base, cross = pair_terms(p0, p1)
     return (math.sin(half) ** 4 * p0.var_n + math.cos(half) ** 4 * p1.var_n
             + 0.25 * sin_phi ** 2 * base + 0.5 * sin_phi ** 2 * cross
             - sin_phi * (p0.mean_a * p1.mean_a.conjugate()).real
@@ -140,9 +136,7 @@ def _n4_var(p0, p1, phi):
 
 def _quad_port_var(p: PortMoments, phi_l: float) -> float:
     """Quadrature variance of a single mode at angle phi_l (vacuum gives 1/4)."""
-    centered = p.mean_a2 - p.mean_a ** 2
-    return 0.25 + 0.5 * ((cmath.exp(-2j * phi_l) * centered).real
-                         + p.mean_n - abs(p.mean_a) ** 2)
+    return 0.25 + 0.5 * ((cmath.exp(-2j * phi_l) * p.dm).real + p.dn)
 
 
 def _x_mean(p0, p1, phi, phi_l):
@@ -166,97 +160,66 @@ def _x_var(p0, p1, phi, phi_l):
 
 
 def observable_mean(scheme: DetectionScheme, scenario: MziScenario) -> float:
-    p0, p1 = effective_moments(scenario)
+    """Mean of the ideal (lossless) observable at the scenario phase."""
+    p0, p1, phi_l, _ = _setup(scheme, scenario)
     phi = scenario.phase
     if isinstance(scheme, DifferenceIntensity):
         return _nd_mean(p0, p1, phi)
     if isinstance(scheme, SingleModeIntensity):
         return _n4_mean(p0, p1, phi)
-    return _x_mean(p0, p1, phi, _local_phase(scheme, scenario))
+    return _x_mean(p0, p1, phi, phi_l)
+
+
+def _var_slope(scheme, setup, phi) -> tuple[float, float]:
+    """Variance with detector loss, clamped at 0, and |d<A>/dphi| at phi."""
+    p0, p1, phi_l, excess = setup
+    if isinstance(scheme, DifferenceIntensity):
+        # n4 + n5 equals the conserved total input photon number
+        var = _nd_var(p0, p1, phi) + excess * (p0.mean_n + p1.mean_n)
+        slope = _nd_slope(p0, p1, phi)
+    elif isinstance(scheme, SingleModeIntensity):
+        var = _n4_var(p0, p1, phi) + excess * _n4_mean(p0, p1, phi)
+        slope = _n4_slope(p0, p1, phi)
+    else:
+        var = _x_var(p0, p1, phi, phi_l) + 0.25 * excess
+        slope = _x_slope(p0, p1, phi, phi_l)
+    return max(var, 0.0), slope
+
+
+def _delta_phi(var: float, slope: float) -> float:
+    return math.inf if slope == 0.0 else math.sqrt(var) / slope
 
 
 def observable_variance(scheme: DetectionScheme, scenario: MziScenario) -> float:
-    p0, p1 = effective_moments(scenario)
-    phi = scenario.phase
-    if isinstance(scheme, DifferenceIntensity):
-        return _checked_variance(_nd_var(p0, p1, phi))
-    if isinstance(scheme, SingleModeIntensity):
-        return _checked_variance(_n4_var(p0, p1, phi))
-    return _checked_variance(_x_var(p0, p1, phi, _local_phase(scheme, scenario)))
-
-
-def mean_slope(scheme: DetectionScheme, scenario: MziScenario) -> float:
-    """|d<A>/dphi| at the scenario phase, from the closed-form derivative."""
-    p0, p1 = effective_moments(scenario)
-    phi = scenario.phase
-    if isinstance(scheme, DifferenceIntensity):
-        return _nd_slope(p0, p1, phi)
-    if isinstance(scheme, SingleModeIntensity):
-        return _n4_slope(p0, p1, phi)
-    return _x_slope(p0, p1, phi, _local_phase(scheme, scenario))
+    """Variance at the scenario phase, detector loss included, in units of the ideal observable."""
+    return _var_slope(scheme, _setup(scheme, scenario), scenario.phase)[0]
 
 
 def sensitivity(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
-    """Delta phi = sqrt(variance) / |slope| at the scenario phase."""
-    slope = mean_slope(scheme, scenario)
-    if slope == 0.0:
-        return SensitivityPoint(scenario.phase, math.inf)
-    var = observable_variance(scheme, scenario)
-    return SensitivityPoint(scenario.phase, math.sqrt(var) / slope)
+    """Delta phi = sqrt(variance) / |slope| at the scenario phase and efficiency."""
+    setup = _setup(scheme, scenario)
+    return SensitivityPoint(scenario.phase, _delta_phi(*_var_slope(scheme, setup, scenario.phase)))
 
 
 # --- optimal working points ---------------------------------------------------
 
-def _evaluate_candidates(scheme, scenario, candidates) -> SensitivityPoint:
-    best = None
-    for phi in candidates:
-        phi = phi % TWO_PI
-        point = sensitivity(scheme, scenario.with_phase(phi))
-        if best is None or point.delta_phi < best.delta_phi or (
-                point.delta_phi == best.delta_phi and phi < best.phase):
-            best = point
-    return best
-
-
-def _numeric_optimum(scheme, scenario) -> SensitivityPoint:
-    coarse = 720
-    phis = np.linspace(0.0, TWO_PI, coarse, endpoint=False)
-    vals = np.array([sensitivity(scheme, scenario.with_phase(p)).delta_phi for p in phis])
-    if not np.isfinite(vals).any():
-        raise FlatObjective("phase sensitivity is infinite for every internal phase")
-    k = int(np.argmin(vals))
-    step = TWO_PI / coarse
-
-    def objective(phi):
-        return sensitivity(scheme, scenario.with_phase(phi % TWO_PI)).delta_phi
-
-    x, fx = golden_minimize(objective, phis[k] - step, phis[k] + step, tol=1e-9)
-    return SensitivityPoint(x % TWO_PI, fx)
-
-
-def difference_abcdf(scenario: MziScenario) -> tuple[float, float, float, float, float]:
-    """Coefficients (A, B, C, D, F) of the difference-intensity sensitivity.
-
-    Delta^2 N_d = A cos^2 phi + B sin^2 phi + C sin 2phi and the slope of the
-    mean is |D sin phi + F cos phi|.
-    """
-    p0, p1 = effective_moments(scenario)
-    base, cross = _pair_terms(p0, p1)
-    a = p0.var_n + p1.var_n
-    b = base + 2.0 * cross
-    c = 2.0 * (p0.corr_na.conjugate() * p1.mean_a - p0.mean_a * p1.corr_na.conjugate()).real
-    d = p1.mean_n - p0.mean_n
-    f = 2.0 * (p0.mean_a * p1.mean_a.conjugate()).real
-    return a, b, c, d, f
+_SAMPLES = 16   # phases sampled per optimum; variance and slope^2 have degree <= 2 in phi
+_ORDERS = np.arange(-2, 3)
+_TRIM = 1e-12   # stationarity coefficients at or below this share of the largest are rounding
+_TIE = 1e-12    # a candidate must be lower by more than this relative margin to win
+_POLISH = 1e-3  # half-width in rad of the golden refinement around the winner
 
 
 def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
-    """Best (phi_opt, Delta phi) over the free internal phase.
+    """Best (phi_opt, Delta phi) over the free internal phase, detector loss included.
 
-    Uses the analytic stationarity conditions where they exist (difference
-    intensity always, single mode for an undisplaced port 0, homodyne always)
-    and falls back to a coarse scan plus golden-section refinement otherwise.
-    The arctan branch ambiguity is settled by evaluating both candidates.
+    Delta phi^2 = V / Q with V the variance and Q the squared slope of the
+    mean, both trigonometric polynomials of degree <= 2 in phi.  Their
+    coefficients come from 16 samples; the stationarity condition
+    V'Q - VQ' = 0 is then a polynomial of degree 8 in e^{i phi}, and the phase
+    of each root is judged with the closed form ``sensitivity`` uses.  Among
+    near-equal candidates the lowest phase wins; a golden-section search
+    around the winner polishes the last digits where the root is imprecise.
 
     For the single-mode scheme with an undisplaced port 0 the optimum
     reaches the asymptote exp(-r)/|alpha| only once exp(-2r)|alpha|^2
@@ -264,36 +227,31 @@ def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> Sen
     noise keeps it well above (8.0 times at |alpha| = 1e3, r = 2.3, z = 2.2;
     see ``SingleModeIntensity``).
     """
-    p0, p1 = effective_moments(scenario)
+    setup = _setup(scheme, scenario)
 
-    if isinstance(scheme, (DifferenceIntensity, SingleModeIntensity)):
-        d = p1.mean_n - p0.mean_n
-        f = 2.0 * (p0.mean_a * p1.mean_a.conjugate()).real
-        if d == 0.0 and f == 0.0:
-            raise FlatObjective("the intensity mean carries no phase dependence")
+    def delta_phi(phi):
+        return _delta_phi(*_var_slope(scheme, setup, phi))
 
-    if isinstance(scheme, DifferenceIntensity):
-        a, b, c, d, f = difference_abcdf(scenario)
-        num = a * d - c * f
-        den = b * f - c * d
-        if num == 0.0 and den == 0.0:
-            return _numeric_optimum(scheme, scenario)
-        tau = math.atan2(num, den) % math.pi
-        return _evaluate_candidates(scheme, scenario, (tau, tau + math.pi))
+    phases = np.arange(_SAMPLES) * (TWO_PI / _SAMPLES)
+    var, slope = np.array([_var_slope(scheme, setup, phi) for phi in phases]).T
+    if not slope.any():
+        raise FlatObjective("the mean carries no phase dependence")
+    v = np.fft.fft(var)[_ORDERS] / _SAMPLES
+    q = np.fft.fft(slope ** 2)[_ORDERS] / _SAMPLES
+    # coefficients of e^{i n phi}, n = -4..4, of V'Q - VQ'
+    stationary = np.convolve(1j * _ORDERS * v, q) - np.convolve(v, 1j * _ORDERS * q)
+    stationary[np.abs(stationary) <= _TRIM * np.abs(stationary).max()] = 0.0
+    roots = np.roots(stationary[::-1])
+    candidates = np.sort(np.angle(roots) % TWO_PI) if roots.size else phases
 
-    if isinstance(scheme, SingleModeIntensity):
-        if abs(p0.mean_a) == 0.0 and p0.var_n > 0.0:
-            # undisplaced port 0: phi_opt = +/- 2 arctan (var1/var0)^(1/4)
-            phi_opt = 2.0 * math.atan((p1.var_n / p0.var_n) ** 0.25)
-            return _evaluate_candidates(scheme, scenario, (phi_opt,))
-        return _numeric_optimum(scheme, scenario)
+    best_phi, best = 0.0, math.inf
+    for phi in candidates:
+        value = delta_phi(float(phi))
+        if value < best * (1.0 - _TIE):
+            best_phi, best = float(phi), value
 
-    phi_l = _local_phase(scheme, scenario)
-    c0 = (cmath.exp(-1j * phi_l) * p0.mean_a).real
-    d1 = (cmath.exp(-1j * phi_l) * p1.mean_a).real
-    if c0 == 0.0 and d1 == 0.0:
-        raise FlatObjective("homodyne mean carries no phase dependence")
-    a = _quad_port_var(p0, phi_l)
-    b = _quad_port_var(p1, phi_l)
-    phi_opt = 2.0 * math.atan2(b * d1, a * c0)
-    return _evaluate_candidates(scheme, scenario, (phi_opt,))
+    x, value = golden_minimize(lambda p: delta_phi(p % TWO_PI),
+                               best_phi - _POLISH, best_phi + _POLISH, tol=1e-9)
+    if value < best * (1.0 - _TIE):
+        best_phi, best = x % TWO_PI, value
+    return SensitivityPoint(best_phi, best)

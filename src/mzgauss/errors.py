@@ -17,10 +17,6 @@ class NonPositiveInformation(MzGaussError):
     """Cramer-Rao bound requested for non-positive Fisher information."""
 
 
-class NegativeVariance(MzGaussError):
-    """A closed-form variance evaluated negative; indicates a bug, never expected."""
-
-
 class InvalidEfficiency(MzGaussError):
     """Detector efficiency outside (0, 1]."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateMatrix, NonPositiveInformation
 from .interferometer import BsConvention, MziScenario
-from .states import port_moments
+from .states import pair_terms
 
 _NEG_CLAMP = 1e-9
 
@@ -40,21 +40,20 @@ class FisherMatrix:
 
 def fisher_matrix(scenario: MziScenario) -> FisherMatrix:
     """Fisher matrix of the scenario; the internal phase and efficiency do not enter."""
-    p0 = port_moments(scenario.port0)
-    p1 = port_moments(scenario.port1)
+    p0 = scenario.port0.moments
+    p1 = scenario.port1.moments
     m0, m1 = p0.mean_a, p1.mean_a
     c0, c1 = p0.corr_na, p1.corr_na
 
     f_ss = p0.var_n + p1.var_n
-    base = p0.mean_n + p1.mean_n + 2.0 * (p0.mean_n * p1.mean_n - abs(m0) ** 2 * abs(m1) ** 2)
-    cross = p0.mean_a2 * np.conj(p1.mean_a2) - m0 ** 2 * np.conj(m1) ** 2
+    base, cross = pair_terms(p0, p1)
     mixed = m0 * np.conj(m1) + c0 * np.conj(m1) + m0 * np.conj(c1)
 
     if scenario.convention is BsConvention.SYMMETRIC:
-        f_dd = base - 2.0 * cross.real
+        f_dd = base - 2.0 * cross
         f_sd = 2.0 * mixed.imag
     else:
-        f_dd = base + 2.0 * cross.real
+        f_dd = base + 2.0 * cross
         f_sd = 2.0 * mixed.real
     return FisherMatrix(f_ss=float(f_ss), f_dd=float(f_dd), f_sd=float(f_sd))
 

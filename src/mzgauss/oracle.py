@@ -85,7 +85,7 @@ def _single_mode_vector(port: GaussianPort, n_max: int) -> np.ndarray:
 
 
 def single_mode_moments(port: GaussianPort, n_max: int = 60) -> PortMoments:
-    """The five port moments extracted from the truncated Fock vector."""
+    """The port moments extracted from the truncated Fock vector."""
     vec = _single_mode_vector(port, n_max)
     dim = n_max + 1
     a = _annihilator(dim)
@@ -108,6 +108,8 @@ def single_mode_moments(port: GaussianPort, n_max: int = 60) -> PortMoments:
         mean_n=mean_n,
         var_n=mean_n2 - mean_n ** 2,
         corr_na=mean_na - mean_n * mean_a,
+        dn=mean_n - abs(mean_a) ** 2,
+        dm=mean_a2 - mean_a ** 2,
     )
 
 

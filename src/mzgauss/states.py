@@ -2,12 +2,13 @@
 
 A port is prepared by squeezing the vacuum and then displacing it,
 D(gamma) S(chi) |0>.  Every closed-form result downstream consumes only the
-five moment quantities collected in :class:`PortMoments`.
+moment quantities collected in :class:`PortMoments`.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,16 +80,26 @@ class GaussianPort:
         sqz = Squeeze(self.squeeze.factor, self.squeeze.phase + 2.0 * delta)
         return GaussianPort(disp, sqz)
 
+    @functools.cached_property
+    def moments(self) -> "PortMoments":
+        """:func:`port_moments` of this port, computed on first use."""
+        return port_moments(self)
+
 
 @dataclass(frozen=True)
 class PortMoments:
-    """The five single-mode moments every closed-form formula consumes.
+    """The single-mode moments every closed-form formula consumes.
 
     mean_a   = <a>
     mean_a2  = <a^2>
     mean_n   = <n>
     var_n    = <n^2> - <n>^2
     corr_na  = <n a> - <n><a>
+    dn       = <n> - |<a>|^2      (sinh^2 s)
+    dm       = <a^2> - <a>^2      (-sinh(2s) e^{i theta} / 2)
+
+    The centred moments dn and dm carry the squeezing alone, so products of
+    two ports never cancel their leading |<a>|^2 terms numerically.
     """
 
     mean_a: complex
@@ -96,6 +107,8 @@ class PortMoments:
     mean_n: float
     var_n: float
     corr_na: complex
+    dn: float
+    dm: complex
 
     def rotated(self, delta: float) -> "PortMoments":
         """Moments of the phase-rotated mode e^{i delta n} (a -> a e^{i delta})."""
@@ -106,6 +119,8 @@ class PortMoments:
             mean_n=self.mean_n,
             var_n=self.var_n,
             corr_na=self.corr_na * ph,
+            dn=self.dn,
+            dm=self.dm * ph * ph,
         )
 
 
@@ -119,9 +134,26 @@ def port_moments(port: GaussianPort) -> PortMoments:
     sh2 = math.sinh(s) ** 2
     sh_2s = math.sinh(2.0 * s)
 
+    dm = -0.5 * sh_2s * sq_ph
     mean_a = gamma
-    mean_a2 = gamma * gamma - 0.5 * sh_2s * sq_ph
+    mean_a2 = gamma * gamma + dm
     mean_n = abs(gamma) ** 2 + sh2
     var_n = 0.5 * sh_2s ** 2 + upsilon_minus(port.displacement, port.squeeze)
     corr_na = gamma * sh2 - 0.5 * gamma.conjugate() * sh_2s * sq_ph
-    return PortMoments(mean_a, mean_a2, mean_n, var_n, corr_na)
+    return PortMoments(mean_a, mean_a2, mean_n, var_n, corr_na, sh2, dm)
+
+
+def pair_terms(p0: PortMoments, p1: PortMoments) -> tuple[float, float]:
+    """Cross-port combinations shared by the detection variances and the Fisher matrix.
+
+    base  = <n0> + <n1> + 2 (<n0><n1> - |<a0>|^2 |<a1>|^2)
+    cross = Re(<a0^2><a1^2>* - <a0>^2 <a1>*^2)
+
+    both written through the centred moments, free of cancellation.
+    """
+    a0, a1 = p0.mean_a, p1.mean_a
+    base = p0.mean_n + p1.mean_n + 2.0 * (abs(a0) ** 2 * p1.dn + p0.dn * abs(a1) ** 2
+                                          + p0.dn * p1.dn)
+    cross = (a0 * a0 * p1.dm.conjugate() + p0.dm * (a1 * a1).conjugate()
+             + p0.dm * p1.dm.conjugate()).real
+    return base, cross

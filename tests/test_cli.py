@@ -146,3 +146,16 @@ def test_verify_truncation_exit_code(capsys):
     code = main(["verify", "--samples", "2", "--alpha-max", "5", "--seed", "1"])
     assert code == 4
     assert "truncation" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "alpha", "--start", "1", "--stop", "2", "--steps", "3",
+     "--set", "port0.beta.magnitude=nan", "--set", "port0.xi.factor=0.5"],
+    ["qfi", "--set", "port1.alpha.magnitude=inf"],
+    ["qfi", "--set", "phase=nan*pi"],
+    ["sweep", "--axis", "phi", "--start", "0", "--stop", "inf", "--steps", "3"],
+    ["heisenberg", "--pmc", "pmc2", "--fractions", "nan,1/3,1/3,1/3"],
+])
+def test_non_finite_numbers_are_config_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err

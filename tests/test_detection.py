@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mzgauss._minimize import golden_minimize
 from mzgauss.detection import (DifferenceIntensity, Homodyne,
-                               SingleModeIntensity, difference_abcdf,
-                               observable_mean, observable_variance,
-                               optimal_working_point, sensitivity)
+                               SingleModeIntensity, observable_mean,
+                               observable_variance, optimal_working_point,
+                               sensitivity)
 from mzgauss.errors import FlatObjective
 from mzgauss.fisher import fisher_matrix, qcrb, qfi
 from mzgauss.interferometer import BsConvention, MziScenario
@@ -146,24 +147,34 @@ def test_single_mode_working_point_matches_closed_form():
     assert mirrored.delta_phi == pytest.approx(point.delta_phi, rel=1e-12)
 
 
-def test_analytic_working_points_agree_with_scan_minimizer():
-    """The closed-form phases match an independent scan plus refinement."""
-    from mzgauss.detection import _numeric_optimum
+def _scan_optimum(scheme, sc, points=4000):
+    """Independent reference: dense phase scan plus golden refinement."""
+    phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
+    values = [sensitivity(scheme, sc.with_phase(float(p))).delta_phi for p in phis]
+    k = int(np.argmin(values))
+    step = 2 * math.pi / points
+    return golden_minimize(lambda p: sensitivity(scheme, sc.with_phase(p)).delta_phi,
+                           phis[k] - step, phis[k] + step, tol=1e-12)
 
+
+def test_analytic_working_points_agree_with_scan_minimizer():
+    """The root-based optima match an independent scan plus refinement."""
     sc = _sqzvac_scenario(1.0, 0.5, 0.4)
     for scheme in ALL_SCHEMES:
-        analytic = optimal_working_point(scheme, sc)
-        numeric = _numeric_optimum(scheme, sc)
-        delta = abs(analytic.phase - numeric.phase) % (2 * math.pi)
-        assert min(delta, 2 * math.pi - delta) < 1e-6
-        assert analytic.delta_phi <= numeric.delta_phi * (1 + 1e-9)
+        point = optimal_working_point(scheme, sc)
+        phase, value = _scan_optimum(scheme, sc)
+        delta = abs(point.phase - phase) % (2 * math.pi)
+        # sg has two mirror-image optima; either phase is a correct answer
+        mirror = abs(point.phase + phase - 2 * math.pi)
+        assert min(delta, 2 * math.pi - delta, mirror) < 1e-6
+        assert point.delta_phi <= value * (1 + 1e-12)
 
     ports = apply_pmc(PmcSet.PMC2, 0.4, 1.3, 0.8, 0.6, 0.35)
-    general = MziScenario(*ports)
-    for scheme in (DifferenceIntensity(), Homodyne()):
-        analytic = optimal_working_point(scheme, general)
-        numeric = _numeric_optimum(scheme, general)
-        assert analytic.delta_phi == pytest.approx(numeric.delta_phi, rel=1e-9)
+    general = MziScenario(*ports, efficiency=0.7)
+    for scheme in ALL_SCHEMES:
+        point = optimal_working_point(scheme, general)
+        assert point.delta_phi == pytest.approx(_scan_optimum(scheme, general)[1], rel=1e-11)
+        assert sensitivity(scheme, general.with_phase(point.phase)).delta_phi == point.delta_phi
 
 
 def test_difference_working_point_at_half_pi_for_undisplaced_port0():
@@ -193,18 +204,35 @@ def test_pmc2_homodyne_reaches_its_closed_optimum():
 
 
 def test_working_points_beat_dense_phase_sampling(rng):
-    """The analytic optimum is never worse than 10^4 uniformly sampled phases."""
+    """The optimum is never worse than 10^4 uniformly sampled phases, lossy or not."""
     phis = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
-    for _ in range(4):
-        port1 = GaussianPort.from_params(rng.uniform(0.1, 2), rng.uniform(0, 2 * math.pi),
-                                         rng.uniform(0, 0.9), rng.uniform(0, 2 * math.pi))
-        port0 = GaussianPort.from_params(rng.uniform(0.1, 2), rng.uniform(0, 2 * math.pi),
-                                         rng.uniform(0, 0.9), rng.uniform(0, 2 * math.pi))
-        sc = MziScenario(port1, port0)
-        for scheme in (DifferenceIntensity(), Homodyne()):
-            best = optimal_working_point(scheme, sc).delta_phi
-            sampled = min(sensitivity(scheme, sc.with_phase(p)).delta_phi for p in phis)
-            assert best <= sampled * (1.0 + 1e-9)
+    for efficiency in (1.0, 0.6):
+        for _ in range(3):
+            port1 = GaussianPort.from_params(rng.uniform(0.1, 2), rng.uniform(0, 2 * math.pi),
+                                             rng.uniform(0, 0.9), rng.uniform(0, 2 * math.pi))
+            port0 = GaussianPort.from_params(rng.uniform(0.1, 2), rng.uniform(0, 2 * math.pi),
+                                             rng.uniform(0, 0.9), rng.uniform(0, 2 * math.pi))
+            sc = MziScenario(port1, port0, efficiency=efficiency)
+            for scheme in ALL_SCHEMES:
+                best = optimal_working_point(scheme, sc).delta_phi
+                sampled = min(sensitivity(scheme, sc.with_phase(p)).delta_phi for p in phis)
+                assert best <= sampled * (1.0 + 1e-12)
+
+
+def test_single_mode_optimum_finds_the_deeper_basin():
+    """Two nearly equal sg minima: a 720-point scan refined the shallower one."""
+    ports = apply_pmc(PmcSet.PMC1, 5.527777157037824, 0.1806803804791186,
+                      0.20031244540561197, 1.9992432696619447, 1.793026750521971)
+    point = optimal_working_point(SingleModeIntensity(), MziScenario(*ports))
+    assert relerr(point.delta_phi, 4.82276159239, floor=0.0) < 1e-11
+
+
+def test_single_mode_optimum_at_large_amplitude():
+    """The sg optimum near a dark fringe at |alpha| ~ 5e4 matches a 60-digit optimum."""
+    ports = apply_pmc(PmcSet.PMC2, 1.333873566992744, 54909.81159106134,
+                      45030.58579336825, 1.4165022761590549, 0.17052217010039536)
+    point = optimal_working_point(SingleModeIntensity(), MziScenario(*ports))
+    assert relerr(point.delta_phi, 4.299429931239e-6, floor=0.0) < 1e-12
 
 
 def test_working_point_hierarchy_on_grid():
@@ -248,15 +276,3 @@ def test_two_equal_squeezers_have_no_working_point():
     for scheme in (DifferenceIntensity(), SingleModeIntensity(), Homodyne()):
         with pytest.raises(FlatObjective):
             optimal_working_point(scheme, sc)
-
-
-def test_abcdf_coefficients_recover_variance(rng):
-    port1 = GaussianPort.from_params(1.1, 0.3, 0.6, 1.7)
-    port0 = GaussianPort.from_params(0.8, 2.6, 0.2, 0.5)
-    sc = MziScenario(port1, port0)
-    a, b, c, d, f = difference_abcdf(sc)
-    for phi in rng.uniform(0.0, 2 * math.pi, 6):
-        expected = (a * math.cos(phi) ** 2 + b * math.sin(phi) ** 2
-                    + c * math.sin(2 * phi))
-        assert observable_variance(DifferenceIntensity(), sc.with_phase(float(phi))) == \
-            pytest.approx(expected, rel=1e-12)

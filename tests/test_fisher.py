@@ -119,3 +119,11 @@ def test_general_phase_closed_form_matches_generic(rng):
 def test_explicit_phases_required_without_family():
     with pytest.raises(ValueError):
         qfi_closed_form(1.0, 0.5, 0.5, 0.4)
+
+
+def test_pmc3_qfi_survives_large_amplitudes():
+    """F_dd no longer loses its squeezing terms against |alpha|^2 |beta|^2 at 1e5."""
+    for convention in BsConvention:
+        ports = apply_pmc(PmcSet.PMC3, 0.0, 1e5, 1e5, 2.3, 2.2, convention)
+        value = qfi(fisher_matrix(MziScenario(*ports, convention)))
+        assert relerr(value, 4091.19267, floor=0.0) < 1e-6

@@ -1,15 +1,13 @@
-"""Detector-efficiency model."""
+"""Detector-efficiency model, folded into ``sensitivity`` and ``optimal_working_point``."""
 
 import math
 
 import numpy as np
-import pytest
 
 from mzgauss.detection import (DifferenceIntensity, Homodyne,
-                               SingleModeIntensity, sensitivity)
-from mzgauss.errors import InvalidEfficiency
+                               SingleModeIntensity, optimal_working_point,
+                               sensitivity)
 from mzgauss.interferometer import MziScenario
-from mzgauss.losses import lossy_optimal_working_point, lossy_sensitivity
 from mzgauss.oracle import attenuate, evolve, measure_stats, prepare
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort
@@ -25,18 +23,12 @@ def _scenario(phase=1.1, efficiency=1.0):
     return MziScenario(port1, port0, phase=phase, efficiency=efficiency)
 
 
-def test_unit_efficiency_reduces_to_lossless():
-    sc = _scenario()
-    for scheme in ALL_SCHEMES:
-        assert lossy_sensitivity(scheme, sc).delta_phi == sensitivity(scheme, sc).delta_phi
-
-
 def test_shot_noise_scaling_law():
     # coherent-only single-mode detection is shot-noise limited: delta' = delta / sqrt(eta)
     sc = MziScenario(GaussianPort.from_params(2.0), GaussianPort.vacuum(), phase=1.1)
     ideal = sensitivity(SingleModeIntensity(), sc).delta_phi
     for eta in (0.9, 0.6, 0.25):
-        lossy = lossy_sensitivity(SingleModeIntensity(), sc.with_efficiency(eta)).delta_phi
+        lossy = sensitivity(SingleModeIntensity(), sc.with_efficiency(eta)).delta_phi
         assert relerr(lossy, ideal / math.sqrt(eta)) < 1e-12
 
 
@@ -48,7 +40,7 @@ def test_monotone_in_efficiency(rng):
                                          rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
         sc = MziScenario(port1, port0, phase=float(rng.uniform(0.3, 2.8)))
         for scheme in ALL_SCHEMES:
-            values = [lossy_sensitivity(scheme, sc.with_efficiency(e)).delta_phi
+            values = [sensitivity(scheme, sc.with_efficiency(e)).delta_phi
                       for e in np.linspace(0.2, 1.0, 9)]
             if all(math.isfinite(v) for v in values):
                 assert all(a >= b - 1e-12 * abs(b) for a, b in zip(values, values[1:]))
@@ -58,15 +50,16 @@ def test_continuity_as_efficiency_approaches_unity():
     sc = _scenario()
     for scheme in ALL_SCHEMES:
         ideal = sensitivity(scheme, sc).delta_phi
-        near = lossy_sensitivity(scheme, sc.with_efficiency(0.999999)).delta_phi
+        near = sensitivity(scheme, sc.with_efficiency(0.999999)).delta_phi
         assert relerr(near, ideal, floor=abs(ideal)) < 1e-4
 
 
 def test_degraded_yet_finite_at_working_point():
     port1, port0 = apply_pmc(PmcSet.PMC1, 0.0, 1.5, 0.4, 0.8, 0.6)
     sc = MziScenario(port1, port0, efficiency=0.6)
-    point = lossy_optimal_working_point(DifferenceIntensity(), sc)
-    ideal = sensitivity(DifferenceIntensity(), sc.with_phase(point.phase)).delta_phi
+    point = optimal_working_point(DifferenceIntensity(), sc)
+    ideal = sensitivity(DifferenceIntensity(),
+                        sc.with_efficiency(1.0).with_phase(point.phase)).delta_phi
     assert math.isfinite(point.delta_phi)
     assert point.delta_phi > ideal
 
@@ -84,10 +77,3 @@ def test_fictitious_beam_splitter_in_oracle():
         v_obs = measure_stats(lossy, "n4_sq") - n_obs ** 2
         assert relerr(n_obs, eta * n_ideal) < 1e-8
         assert relerr(v_obs, eta ** 2 * v_ideal + eta * (1 - eta) * n_ideal) < 1e-8
-
-
-def test_invalid_efficiency_rejected():
-    sc = _scenario()
-    object.__setattr__(sc, "efficiency", 0.0)  # bypass constructor validation
-    with pytest.raises(InvalidEfficiency):
-        lossy_sensitivity(SingleModeIntensity(), sc)

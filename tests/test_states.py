@@ -56,6 +56,8 @@ def test_all_moments_match_oracle_over_box(rng):
         assert abs(closed.mean_a - fock.mean_a) < 1e-8
         assert abs(closed.mean_a2 - fock.mean_a2) < 1e-8
         assert abs(closed.corr_na - fock.corr_na) < 1e-8
+        assert abs(closed.dn - fock.dn) < 1e-8
+        assert abs(closed.dm - fock.dm) < 1e-8
 
 
 @given(mag=st.floats(0.0, 3.0), s=st.floats(0.0, 2.0),
@@ -83,6 +85,8 @@ def test_phase_covariance(delta, mag, s, ph, sph):
     assert abs(rot.mean_a - base.mean_a * u) < 1e-9 * (1 + mag)
     assert abs(rot.mean_a2 - base.mean_a2 * u * u) < 1e-9
     assert abs(rot.corr_na - base.corr_na * u) < 1e-9
+    assert rot.dn == base.dn
+    assert abs(rot.dm - base.dm * u * u) < 1e-9
 
 
 def test_zero_magnitude_canonicalizes_phase():
