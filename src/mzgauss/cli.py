@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from . import detection, oracle
+from . import detection
 from .errors import (ConfigError, FlatObjective, InvalidEfficiency, MzGaussError,
                      TruncationError)
 from .fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
@@ -153,6 +153,8 @@ def _normalized(cfg: dict) -> dict:
             out[key] = value if value is None else str(value).lower()
         elif key == "shots":
             out[key] = int(_parse_number(value, key))
+            if out[key] < 1:
+                raise ConfigError(f"field shots: expected an integer >= 1, got {value!r}")
         elif key == "homodyne.local_phase":
             out[key] = None if value is None else parse_angle(value, key)
         elif key in _ANGLE_KEYS:
@@ -398,6 +400,8 @@ def _relerr(a: float, b: float) -> float:
 def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
                alpha_max: float, beta_max: float, squeeze_max: float,
                out: IO[str], err: IO[str]) -> int:
+    from . import oracle  # the only scipy user: loaded by this command alone
+
     rng = np.random.default_rng(seed)
     rows = []
     failures = 0
@@ -420,11 +424,11 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
             rng.uniform(0.0, squeeze_max), rng.uniform(0.0, 2.0 * math.pi))
         convention = BsConvention.SYMMETRIC if case % 2 == 0 else BsConvention.CUBE
         base = MziScenario(port1, port0, convention)
-        state = oracle.prepare(base, n_max)
+        inside = oracle.apply_first_bs(oracle.prepare(base, n_max), convention)
+        phis = rng.uniform(0.0, 2.0 * math.pi, phases)
 
-        for phi in rng.uniform(0.0, 2.0 * math.pi, phases):
+        for phi, evolved in zip(phis, oracle.evolve_many(inside, phis)):
             scenario = base.with_phase(float(phi))
-            evolved = oracle.evolve(state, float(phi), convention)
             local = scenario.port1.displacement.phase
             for name, scheme, obs, tol in schemes:
                 closed = detection.observable_mean(scheme, scenario)
@@ -445,11 +449,11 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
                 rows.append([case, vname, phi, closed_v, meas_v, rel_v, int(ok_v)])
 
         closed_fm = fisher_matrix(base)
-        fd_fm = oracle.numerical_fisher(base, n_max)
+        oracle_fm = oracle.generator_fisher(inside)
         scale = max(closed_fm.f_ss, closed_fm.f_dd, 1.0)
-        for qty, a, b in (("f_ss", closed_fm.f_ss, fd_fm.f_ss),
-                          ("f_dd", closed_fm.f_dd, fd_fm.f_dd),
-                          ("f_sd", abs(closed_fm.f_sd), abs(fd_fm.f_sd))):
+        for qty, a, b in (("f_ss", closed_fm.f_ss, oracle_fm.f_ss),
+                          ("f_dd", closed_fm.f_dd, oracle_fm.f_dd),
+                          ("f_sd", abs(closed_fm.f_sd), abs(oracle_fm.f_sd))):
             rel = abs(a - b) / max(abs(a), abs(b), 1e-6 * scale)
             ok = rel < 1e-4
             failures += not ok

@@ -44,5 +44,5 @@ class TruncationError(MzGaussError):
         )
 
 
-class StepTooCoarse(MzGaussError):
-    """Finite-difference step failed the Richardson consistency check."""
+class NumericalOverflow(MzGaussError):
+    """A quantity exceeds the range of double-precision floats."""

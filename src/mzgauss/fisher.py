@@ -4,7 +4,7 @@ The generic path evaluates the matrix elements from the two ports' moments
 alone (the input is separable, so every cross expectation factorizes).  The
 closed-form path re-expresses the same elements through the Upsilon functions
 and the optimal phase-matching families; both must agree to 1e-10 and are
-tested against the finite-difference Fock oracle.
+tested against the truncated Fock oracle.
 """
 
 from __future__ import annotations

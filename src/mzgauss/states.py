@@ -12,6 +12,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .errors import NumericalOverflow
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -131,15 +133,19 @@ def port_moments(port: GaussianPort) -> PortMoments:
     gamma = port.displacement.value
     s = port.squeeze.factor
     sq_ph = cmath.exp(1j * port.squeeze.phase)
-    sh2 = math.sinh(s) ** 2
-    sh_2s = math.sinh(2.0 * s)
+    try:
+        sh2 = math.sinh(s) ** 2
+        sh_2s = math.sinh(2.0 * s)
 
-    dm = -0.5 * sh_2s * sq_ph
-    mean_a = gamma
-    mean_a2 = gamma * gamma + dm
-    mean_n = abs(gamma) ** 2 + sh2
-    var_n = 0.5 * sh_2s ** 2 + upsilon_minus(port.displacement, port.squeeze)
-    corr_na = gamma * sh2 - 0.5 * gamma.conjugate() * sh_2s * sq_ph
+        dm = -0.5 * sh_2s * sq_ph
+        mean_a = gamma
+        mean_a2 = gamma * gamma + dm
+        mean_n = abs(gamma) ** 2 + sh2
+        var_n = 0.5 * sh_2s ** 2 + upsilon_minus(port.displacement, port.squeeze)
+        corr_na = gamma * sh2 - 0.5 * gamma.conjugate() * sh_2s * sq_ph
+    except OverflowError:
+        raise NumericalOverflow(f"the moments of a port with |gamma| = {abs(gamma):g} and "
+                                f"squeeze factor {s:g} overflow") from None
     return PortMoments(mean_a, mean_a2, mean_n, var_n, corr_na, sh2, dm)
 
 

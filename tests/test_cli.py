@@ -2,10 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mzgauss.cli import main, parse_angle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _rows(csv_text):
@@ -159,3 +164,40 @@ def test_verify_truncation_exit_code(capsys):
 def test_non_finite_numbers_are_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_verify_small_off_diagonal_fisher_element_passes(tmp_path, capsys):
+    """A cube case with F_sd = 3.6e-4 against F_ss = 3.6, once refused by a step guard."""
+    path = tmp_path / "v.csv"
+    code = main(["verify", "--samples", "2", "--phases", "5", "--seed", "317372315",
+                 "-o", str(path)])
+    assert code == 0, capsys.readouterr().err
+    header, rows = _rows(path.read_text())
+    assert len(rows) == 66
+    assert all(row[-1] == "1" for row in rows)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["qfi", "--set", "port1.alpha.magnitude=1", "--set", "shots=0"], 2),
+    (["qfi", "--set", "port1.zeta.factor=400"], 3),
+    (["qfi", "--set", "port1.alpha.magnitude=1e200"], 3),
+])
+def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "error:")
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    """Only ``verify`` needs the oracle, and the oracle is the only scipy user."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import mzgauss.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe, str(SRC)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy_sparse():
+    for path in sorted((SRC / "mzgauss").glob("*.py")):
+        assert "scipy.sparse" not in path.read_text(encoding="utf-8"), path.name

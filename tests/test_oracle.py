@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import expm_multiply
 
 from mzgauss.errors import TruncationError
-from mzgauss.fisher import fisher_matrix, qfi, qfi_closed_form
-from mzgauss.interferometer import BsConvention, MziScenario
-from mzgauss.oracle import (FockVector, apply_first_bs, evolve, measure_stats,
-                            numerical_fisher, prepare, single_mode_moments)
+from mzgauss.fisher import FisherMatrix, fisher_matrix, qfi, qfi_closed_form
+from mzgauss.interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
+from mzgauss.oracle import (FockVector, _single_mode_vector, apply_first_bs,
+                            attenuate, evolve, evolve_many, generator_fisher,
+                            measure_stats, numerical_fisher, prepare,
+                            single_mode_moments)
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort
 
@@ -168,13 +173,92 @@ def test_numerical_fisher_cube_convention():
     assert relerr(qfi(fd), qfi_closed_form(0.8, 0.5, 0.5, 0.4, pmc=PmcSet.PMC3)) < 1e-4
 
 
-def test_numerical_fisher_step_validation():
-    sc = MziScenario(GaussianPort.from_params(0.5), _vac())
-    with pytest.raises(ValueError):
-        numerical_fisher(sc, 40, h=1e-6)
-    with pytest.raises(ValueError):
-        numerical_fisher(sc, 40, h=1e-2)
-    # a step at the coarse end still passes the Richardson consistency check
-    coarse = numerical_fisher(sc, 40, h=1e-3)
-    fine = numerical_fisher(sc, 40, h=2e-5)
-    assert relerr(coarse.f_dd, fine.f_dd, floor=1e-6) < 1e-5
+# --- the chain exponentials against a second, independent construction --------
+
+def _random_state(rng, n_max):
+    amps = rng.standard_normal((n_max + 1,) * 2) + 1j * rng.standard_normal((n_max + 1,) * 2)
+    return FockVector(amps / np.linalg.norm(amps), n_max)
+
+
+def _sparse_two_mode_generator(n_max, c):
+    """c a0^dag a1 - c* a0 a1^dag on the full truncated two-mode basis."""
+    a = scipy.sparse.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1, format="csr")
+    hop = scipy.sparse.kron(a.T, a)
+    return (c * hop - np.conj(c) * hop.T).tocsr()
+
+
+@pytest.mark.parametrize("n_max", [10, 40, 60])
+def test_sector_beam_splitters_match_sparse_expm(n_max, rng):
+    state = _random_state(rng, n_max)
+    flat = state.amplitudes.reshape(-1)
+    bs = expm_multiply(_sparse_two_mode_generator(n_max, 0.25j * math.pi), flat)
+    assert np.abs(apply_first_bs(state).amplitudes.reshape(-1) - bs).max() < 1e-12
+    for transmission in (0.0, 0.3, 0.85, 1.0):
+        theta = math.acos(math.sqrt(transmission))
+        lossy = expm_multiply(_sparse_two_mode_generator(n_max, theta), flat)
+        assert np.abs(attenuate(state, transmission).amplitudes.reshape(-1) - lossy).max() < 1e-12
+
+
+def test_single_mode_vector_matches_dense_expm(rng):
+    n_max = 60
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    ad = a.conj().T
+    vacuum = np.zeros(n_max + 1, dtype=complex)
+    vacuum[0] = 1.0
+    for _ in range(6):
+        port = GaussianPort.from_params(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi),
+                                        rng.uniform(0, 0.8), rng.uniform(0, 2 * math.pi))
+        chi = port.squeeze.factor * np.exp(1j * port.squeeze.phase)
+        gamma = port.displacement.value
+        squeezed = scipy.linalg.expm(0.5 * (np.conj(chi) * a @ a - chi * ad @ ad)) @ vacuum
+        expected = scipy.linalg.expm(gamma * ad - np.conj(gamma) * a) @ squeezed
+        assert np.abs(_single_mode_vector(port, n_max) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_evolve_many_matches_evolve(convention, rng):
+    port1 = GaussianPort.from_params(0.9, 0.3, 0.4, 2.1)
+    port0 = GaussianPort.from_params(0.6, 1.7, 0.3, 0.5)
+    state = prepare(MziScenario(port1, port0, convention), 50)
+    phis = rng.uniform(0, 2 * math.pi, 4)
+    batch = evolve_many(apply_first_bs(state, convention), phis)
+    assert len(batch) == len(phis)
+    for phi, out in zip(phis, batch):
+        single = evolve(state, float(phi), convention)
+        assert np.abs(out.amplitudes - single.amplitudes).max() < 1e-14
+
+
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_generator_fisher_matches_central_difference(convention, rng):
+    """4 Cov(G_a, G_b) against a central difference of the phased internal state."""
+    n_max, h = 60, 1e-4
+    for _ in range(3):
+        port1 = GaussianPort.from_params(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
+        port0 = GaussianPort.from_params(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
+        state = prepare(MziScenario(port1, port0, convention), n_max)
+        amps = state.amplitudes
+        if convention is BsConvention.CUBE:
+            amps = amps * np.exp(1j * CUBE_PORT0_ROTATION * np.arange(n_max + 1))[:, None]
+        # the first beam splitter, built here from the full sparse generator
+        psi = expm_multiply(_sparse_two_mode_generator(n_max, 0.25j * math.pi),
+                            amps.reshape(-1))
+        ns = np.arange(n_max + 1, dtype=float)
+        n_ax1, n_ax0 = np.tile(ns, n_max + 1), np.repeat(ns, n_max + 1)
+
+        def phased(phi_s, phi_d):
+            phi1, phi2 = 0.5 * (phi_s + phi_d), 0.5 * (phi_s - phi_d)
+            return psi * np.exp(1j * (phi1 * n_ax1 + phi2 * n_ax0))
+
+        ds = (phased(h, 0.0) - phased(-h, 0.0)) / (2 * h)
+        dd = (phased(0.0, h) - phased(0.0, -h)) / (2 * h)
+
+        def elem(da, db):
+            return 4.0 * (np.vdot(da, db) - np.vdot(da, psi) * np.vdot(psi, db)).real
+
+        fd = FisherMatrix(f_ss=elem(ds, ds), f_dd=elem(dd, dd), f_sd=elem(ds, dd))
+        exact = generator_fisher(apply_first_bs(state, convention))
+        scale = max(exact.f_ss, exact.f_dd)
+        for a, b in ((exact.f_ss, fd.f_ss), (exact.f_dd, fd.f_dd), (exact.f_sd, fd.f_sd)):
+            assert abs(a - b) / max(abs(a), abs(b), 1e-6 * scale) < 1e-6
