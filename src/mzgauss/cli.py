@@ -23,11 +23,11 @@ import numpy as np
 
 from . import detection
 from .errors import (ConfigError, FlatObjective, InvalidEfficiency, MzGaussError,
-                     TruncationError)
+                     TruncationError, UndefinedBoundary)
 from .fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
 from .heisenberg import PowerFractions, asymptotic_qfi, heisenberg_optima
 from .interferometer import BsConvention, MziScenario
-from .pmc import PmcSet, apply_pmc, boundaries, classify
+from .pmc import REGIME_FAMILIES, PmcSet, apply_pmc, boundaries, regime_qfis
 from .states import GaussianPort
 
 _CONFIG_KEYS = {
@@ -307,6 +307,16 @@ def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: 
     return 0
 
 
+_ATLAS_LINE = "%.12g,%.12g,%s,%.12g,%.12g,%.12g\n"  # fmt() of each cell, inf and nan included
+
+
+def _boundary_at(curve, alpha: float):
+    try:
+        return curve(alpha)
+    except UndefinedBoundary:
+        return None
+
+
 def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
                 beta_min: float, beta_max: float, points: int, spacing: str,
                 out: IO[str], err: IO[str]) -> int:
@@ -325,15 +335,8 @@ def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
             return np.geomspace(lo, hi, points)
         return np.linspace(lo, hi, points)
 
-    rows = []
-    for a in axis(alpha_min, alpha_max):
-        for b in axis(beta_min, beta_max):
-            rows.append([
-                a, b, classify(a, b, r, z).value,
-                qfi_closed_form(a, b, r, z, pmc=PmcSet.PMC1),
-                qfi_closed_form(a, b, r, z, pmc=PmcSet.PMC2),
-                qfi_closed_form(a, b, r, z, pmc=PmcSet.PMC3),
-            ])
+    alphas = axis(alpha_min, alpha_max).tolist()
+    betas = axis(beta_min, beta_max)
     comments = [
         f"# config: {json.dumps({'r': r, 'z': z, 'alpha_min': alpha_min, 'alpha_max': alpha_max, 'beta_min': beta_min, 'beta_max': beta_max, 'points': points, 'spacing': spacing}, sort_keys=True)}",
         f"# alpha_lim_13 = {fmt(limits.alpha_13)}",
@@ -341,11 +344,17 @@ def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
         f"# alpha_lim_circ = {fmt(limits.alpha_circ)}",
         f"# beta_lim_12 = {fmt(limits.beta_12)}",
         f"# alpha_lim_single = {fmt(limits.alpha_lim_single)}",
-        f"# beta_lim_23(alpha_circ) = {fmt(limits.beta_23(limits.alpha_circ))}",
-        f"# beta_lim_13(alpha_circ) = {fmt(limits.beta_13(limits.alpha_circ))}",
+        f"# beta_lim_23(alpha_circ) = {fmt(_boundary_at(limits.beta_23, limits.alpha_circ))}",
+        f"# beta_lim_13(alpha_circ) = {fmt(_boundary_at(limits.beta_13, limits.alpha_circ))}",
     ]
-    _write_csv(out, comments, ["alpha", "beta", "pmc", "qfi_pmc1", "qfi_pmc2", "qfi_pmc3"], rows)
-    err.write(f"regimes: {len(rows)} grid points at r={fmt(r)}, z={fmt(z)}\n")
+    _write_csv(out, comments, ["alpha", "beta", "pmc", "qfi_pmc1", "qfi_pmc2", "qfi_pmc3"], [])
+    names = [family.value for family in REGIME_FAMILIES]
+    beta_cells = betas.tolist()
+    for a in alphas:  # one row of the atlas per evaluation; memory stays flat in points
+        best, values = regime_qfis(a, betas, r, z)
+        out.writelines(_ATLAS_LINE % (a, b, names[k], f1, f2, f3)
+                       for b, k, f1, f2, f3 in zip(beta_cells, best.tolist(), *values.tolist()))
+    err.write(f"regimes: {points * points} grid points at r={fmt(r)}, z={fmt(z)}\n")
     return 0
 
 
@@ -535,6 +544,9 @@ def main(argv=None) -> int:
     err = sys.stderr
 
     try:
+        for name, value in vars(args).items():  # every float flag, e.g. --r or --n-tot
+            if isinstance(value, float):
+                _finite(value, "--" + name.replace("_", "-"))
         if args.output:
             out = open(args.output, "w", encoding="utf-8", newline="\n")
         else:

@@ -122,6 +122,39 @@ def qfi_from_elements(f_ss, f_dd, f_sd):
     return float(out) if out.ndim == 0 else out
 
 
+def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
+    """Optimal QFIs of the families PMC1, PMC2 and PMC3, stacked along axis 0.
+
+    ``alpha`` and ``beta`` are scalars or broadcastable arrays; the squeeze
+    factors are scalars, so every r- and z-only quantity is computed once.
+    PMC3 is written without the cancelling ``- top / bottom`` correction:
+    with S = (sinh^2 2r + sinh^2 2z) / 2, bottom = S + beta^2 e^{2r} + alpha^2 e^{2z}
+    and top = (alpha beta)^2 (e^{2r} + e^{2z})^2, the published
+    alpha^2 e^{2r} + beta^2 e^{2z} - top / bottom equals
+    [e^{2r+2z} (alpha^2 - beta^2)^2 + S (alpha^2 e^{2r} + beta^2 e^{2z})] / bottom,
+    a sum of non-negative terms.  Where top is 0 the plain sum is kept, so
+    that the exact PMC1/PMC3 tie at beta = 0 is not broken by one rounding.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    e2r, e2z = math.exp(2.0 * r), math.exp(2.0 * z)
+    sh_plus, sh_minus = math.sinh(r + z) ** 2, math.sinh(r - z) ** 2
+    s_helper = 0.5 * (math.sinh(2.0 * r) ** 2 + math.sinh(2.0 * z) ** 2)
+
+    a2, b2 = alpha * alpha, beta * beta
+    a2e2r = a2 * e2r
+    pmc1 = a2e2r + b2 / e2z + sh_plus
+    coherent = a2e2r + b2 * e2z
+    pmc2 = coherent + sh_minus
+    split = (alpha - beta) * (alpha + beta)
+    bottom = s_helper + b2 * e2r + a2 * e2z
+    # bottom = 0 only at alpha = beta = r = z = 0, where np.where takes the plain sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reduced = sh_plus + (e2r * e2z * (split * split) + s_helper * coherent) / bottom
+    pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, reduced)
+    return np.stack((pmc1, pmc2, pmc3))
+
+
 def qfi_closed_form(alpha: float, beta: float, r: float, z: float,
                     pmc=None, convention: BsConvention = BsConvention.SYMMETRIC,
                     *, theta_alpha: float = 0.0, theta: float | None = None,
@@ -129,25 +162,23 @@ def qfi_closed_form(alpha: float, beta: float, r: float, z: float,
     """QFI from the published closed forms.
 
     With ``pmc`` given, evaluates that family's optimal-value expression (the
-    value is convention independent; only the realizing phases move).  With
-    ``pmc=None`` the three explicit phases are required and the general-phase
-    element expressions are combined.
+    value is convention independent; only the realizing phases move) as one
+    entry of :func:`pmc_qfis`; the squeezed-vacuum families share the PMC1
+    and PMC2 expressions.  With ``pmc=None`` the three explicit phases are
+    required and the general-phase element expressions are combined.
     """
     from .pmc import PmcSet
 
     if pmc is not None:
-        e2r, e2z = math.exp(2.0 * r), math.exp(2.0 * z)
         if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
-            return alpha ** 2 * e2r + beta ** 2 / e2z + math.sinh(r + z) ** 2
-        if pmc in (PmcSet.PMC2, PmcSet.SQZVAC_WIDEBAND):
-            return alpha ** 2 * e2r + beta ** 2 * e2z + math.sinh(r - z) ** 2
-        if pmc is PmcSet.PMC3:
-            top = (alpha * beta) ** 2 * (e2r + e2z) ** 2
-            bottom = (0.5 * (math.sinh(2.0 * r) ** 2 + math.sinh(2.0 * z) ** 2)
-                      + beta ** 2 * e2r + alpha ** 2 * e2z)
-            corr = 0.0 if top == 0.0 else top / bottom
-            return alpha ** 2 * e2r + beta ** 2 * e2z + math.sinh(r + z) ** 2 - corr
-        raise ValueError(f"unknown PMC family {pmc!r}")
+            row = 0
+        elif pmc in (PmcSet.PMC2, PmcSet.SQZVAC_WIDEBAND):
+            row = 1
+        elif pmc is PmcSet.PMC3:
+            row = 2
+        else:
+            raise ValueError(f"unknown PMC family {pmc!r}")
+        return float(pmc_qfis(alpha, beta, r, z)[row])
 
     if theta is None or phi_zeta is None or theta_beta is None:
         raise ValueError("explicit phases are required when no PMC family is given")

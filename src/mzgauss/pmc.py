@@ -17,7 +17,7 @@ import numpy as np
 
 from ._minimize import golden_minimize
 from .errors import UndefinedBoundary
-from .fisher import phase_fisher_elements, qfi_closed_form, qfi_from_elements
+from .fisher import phase_fisher_elements, pmc_qfis, qfi_from_elements
 from .interferometer import BsConvention
 from .states import TWO_PI, GaussianPort
 
@@ -68,6 +68,9 @@ def single_mode_alpha_lim(z: float) -> float:
     return math.sqrt(c2z + math.sqrt(4.0 * c2z ** 2 - 3.0)) / 2.0
 
 
+_RADICAND_RTOL = 1e-14  # a negative radicand this small against its terms is rounding
+
+
 @dataclass(frozen=True)
 class RegimeBoundaries:
     """Limit amplitudes partitioning the (|alpha|, |beta|) plane at fixed r, z.
@@ -76,7 +79,8 @@ class RegimeBoundaries:
     and 2/3, ``alpha_circ`` the triple point where all three beta curves meet,
     and ``beta_12`` the (|alpha|-independent) crossing of families 1 and 2.
     ``beta_23``/``beta_13`` are curves over |alpha|, defined only where their
-    radicands are positive.
+    radicands are non-negative; a radicand negative only by rounding counts
+    as 0.
     """
 
     r: float
@@ -106,12 +110,17 @@ class RegimeBoundaries:
         if s2z == 0.0:
             raise UndefinedBoundary("beta_13 undefined for z = 0")
         e2r, e2z = math.exp(2.0 * self.r), math.exp(2.0 * self.z)
-        radicand = (alpha ** 2 * (2.0 * e2r * math.cosh(self.r - self.z) ** 2 / s2z - 1.0)
-                    - self.s_helper / e2z)
+        lead = alpha ** 2 * (2.0 * e2r * math.cosh(self.r - self.z) ** 2 / s2z - 1.0)
+        tail = self.s_helper / e2z
+        radicand = lead - tail
         if radicand < 0.0:
-            raise UndefinedBoundary(
-                f"beta_13 undefined at alpha={alpha}: radicand {radicand:.3e} < 0"
-            )
+            # at r = 0 the radicand vanishes at alpha_circ = alpha_13 and
+            # rounds to about -1 ulp of its terms
+            if -radicand > _RADICAND_RTOL * max(abs(lead), tail):
+                raise UndefinedBoundary(
+                    f"beta_13 undefined at alpha={alpha}: radicand {radicand:.3e} < 0"
+                )
+            radicand = 0.0
         return math.exp(self.z - self.r) * math.sqrt(radicand)
 
 
@@ -136,22 +145,26 @@ def boundaries(r: float, z: float) -> RegimeBoundaries:
     )
 
 
-_CLASSIFY_ORDER = (PmcSet.PMC1, PmcSet.PMC2, PmcSet.PMC3)
+REGIME_FAMILIES = (PmcSet.PMC1, PmcSet.PMC2, PmcSet.PMC3)
+
+
+def regime_qfis(alpha, beta, r: float, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index into :data:`REGIME_FAMILIES` of the best family, and the stacked QFIs.
+
+    ``alpha`` and ``beta`` are scalars or broadcastable arrays.  Direct value
+    comparison rather than boundary-table lookups, so the edge orderings of
+    the atlas (including alpha_23 > alpha_13 and r = z) come out right
+    automatically.  ``argmax`` returns the first maximum, so exact ties
+    resolve to PMC1 > PMC2 > PMC3.
+    """
+    values = pmc_qfis(alpha, beta, r, z)
+    return np.argmax(values, axis=0), values
 
 
 def classify(alpha: float, beta: float, r: float, z: float) -> PmcSet:
-    """The family whose closed-form QFI is maximal at these magnitudes.
-
-    Direct value comparison rather than boundary-table lookups, so the edge
-    orderings of the atlas (including alpha_23 > alpha_13 and r = z) come out
-    right automatically.  Exact ties resolve to PMC1 > PMC2 > PMC3.
-    """
-    values = {p: qfi_closed_form(alpha, beta, r, z, pmc=p) for p in _CLASSIFY_ORDER}
-    best = max(values.values())
-    for p in _CLASSIFY_ORDER:
-        if values[p] == best:
-            return p
-    raise AssertionError("unreachable")
+    """The family whose closed-form QFI is maximal at these magnitudes."""
+    best, _ = regime_qfis(alpha, beta, r, z)
+    return REGIME_FAMILIES[int(best)]
 
 
 def _grid_qfi(alpha, beta, r, z, theta, phi_zeta, theta_beta, convention):

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mzgauss.cli import main, parse_angle
+from mzgauss.cli import fmt, main, parse_angle
+from mzgauss.fisher import qfi_closed_form
+from mzgauss.pmc import PmcSet, classify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -121,6 +124,60 @@ def test_regimes_header_and_classification(capsys):
     assert record["pmc"] == "pmc3"
 
 
+@pytest.mark.parametrize("r,z,beta_23,beta_13", [
+    ("0", "1", "0", "0"),    # alpha_circ = alpha_13: the beta_13 radicand is 0, not -1 ulp
+    ("0.3", "0", "", ""),    # alpha_circ = 0 and z = 0: both curves are undefined there
+])
+def test_regimes_at_zero_squeeze(r, z, beta_23, beta_13, capsys):
+    assert main(["regimes", "--r", r, "--z", z, "--points", "3"]) == 0
+    out = capsys.readouterr().out
+    comments = _comments(out)
+    assert f"# beta_lim_23(alpha_circ) = {beta_23}" in comments
+    assert f"# beta_lim_13(alpha_circ) = {beta_13}" in comments
+    header, rows = _rows(out)
+    assert len(rows) == 9 and all(row[2] in ("pmc1", "pmc2", "pmc3") for row in rows)
+
+
+def _atlas_bounds(rng, spacing):
+    if spacing == "log":  # bounds drawn like the benchmark's pointwise atlases
+        lo_a, lo_b = 10.0 ** rng.uniform(-2.0, 0.0, 2)
+        hi_a, hi_b = 10.0 ** rng.uniform(3.0, 5.0, 2)
+    else:
+        lo_a, lo_b = rng.uniform(0.0, 1.0), 0.0
+        hi_a, hi_b = 10.0 ** rng.uniform(0.0, 5.0, 2)
+    r, z = rng.uniform(0.0, 2.3, 2)
+    return [float(x) for x in (r, z, lo_a, hi_a, lo_b, hi_b)]
+
+
+@pytest.mark.parametrize("seed,points,spacing", [
+    (1, 13, "log"), (2, 13, "log"), (3, 40, "log"),
+    (4, 1, "linear"), (5, 2, "linear"), (6, 13, "linear"),
+])
+def test_regimes_rows_equal_scalar_closed_forms(seed, points, spacing, capsys):
+    """The row-vectorized atlas prints fmt() of the scalar classify and closed forms."""
+    r, z, lo_a, hi_a, lo_b, hi_b = _atlas_bounds(np.random.default_rng(seed), spacing)
+    argv = ["regimes", "--r", repr(r), "--z", repr(z),
+            "--alpha-min", repr(lo_a), "--alpha-max", repr(hi_a),
+            "--beta-min", repr(lo_b), "--beta-max", repr(hi_b),
+            "--points", str(points), "--spacing", spacing]
+    assert main(argv) == 0
+    _, rows = _rows(capsys.readouterr().out)
+
+    def axis(lo, hi):
+        if points == 1:
+            return [lo]
+        return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, points)
+
+    expected = []
+    for a in axis(lo_a, hi_a):
+        for b in axis(lo_b, hi_b):
+            a, b = float(a), float(b)
+            expected.append([fmt(a), fmt(b), classify(a, b, r, z).value]
+                            + [fmt(qfi_closed_form(a, b, r, z, pmc=p))
+                               for p in (PmcSet.PMC1, PmcSet.PMC2, PmcSet.PMC3)])
+    assert rows == expected
+
+
 def test_heisenberg_four_ninths(capsys):
     code = main(["heisenberg", "--pmc", "pmc2", "--fractions", "1/6,1/6,1/3,1/3",
                  "--n-tot", "10000"])
@@ -160,10 +217,18 @@ def test_verify_truncation_exit_code(capsys):
     ["qfi", "--set", "phase=nan*pi"],
     ["sweep", "--axis", "phi", "--start", "0", "--stop", "inf", "--steps", "3"],
     ["heisenberg", "--pmc", "pmc2", "--fractions", "nan,1/3,1/3,1/3"],
+    ["regimes", "--r", "nan", "--z", "1"],
+    ["regimes", "--r", "1", "--z", "1", "--alpha-min", "inf", "--spacing", "linear"],
+    ["regimes", "--r", "1", "--z=-inf"],
+    ["heisenberg", "--pmc", "pmc2", "--fractions", "1/6,1/6,1/3,1/3", "--n-tot", "inf"],
+    ["verify", "--samples", "1", "--alpha-max", "nan"],
+    ["verify", "--samples", "1", "--squeeze-max", "inf"],
 ])
 def test_non_finite_numbers_are_config_errors(argv, capsys):
     assert main(argv) == 2
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+    assert "Traceback" not in err
 
 
 def test_verify_small_off_diagonal_fisher_element_passes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Fisher matrix, QFI and Cramer-Rao bound, generic vs closed forms."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -127,3 +128,33 @@ def test_pmc3_qfi_survives_large_amplitudes():
         ports = apply_pmc(PmcSet.PMC3, 0.0, 1e5, 1e5, 2.3, 2.2, convention)
         value = qfi(fisher_matrix(MziScenario(*ports, convention)))
         assert relerr(value, 4091.19267, floor=0.0) < 1e-6
+
+
+def _pmc3_decimal(alpha, beta, r, z):
+    """The published PMC3 expression, cancellation and all, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, r, z = (Decimal(float(x)) for x in (alpha, beta, r, z))
+
+        def sinh(x):
+            return (x.exp() - (-x).exp()) / 2
+
+        e2r, e2z = (2 * r).exp(), (2 * z).exp()
+        top = (a * b) ** 2 * (e2r + e2z) ** 2
+        bottom = (sinh(2 * r) ** 2 + sinh(2 * z) ** 2) / 2 + b * b * e2r + a * a * e2z
+        return float(a * a * e2r + b * b * e2z + sinh(r + z) ** 2 - top / bottom)
+
+
+def test_pmc3_closed_form_matches_decimal_reference(rng):
+    """No cancellation in the PMC3 closed form, up to amplitudes of 1e6."""
+    draws = [(1e6, 1e6, 2.3, 2.2), (1e5, 1e5, 2.3, 2.2), (3.0, 0.0, 0.4, 0.7)]
+    for _ in range(400):
+        alpha, beta = 10.0 ** rng.uniform(-2.0, 6.0, 2)
+        if rng.uniform() < 0.25:
+            beta = alpha * (1.0 + rng.uniform(-1e-3, 1e-3))  # the dip at equal amplitudes
+        draws.append((alpha, beta, *rng.uniform(0.0, 2.3, 2)))
+    for alpha, beta, r, z in draws:
+        value = qfi_closed_form(alpha, beta, r, z, pmc=PmcSet.PMC3)
+        assert relerr(value, _pmc3_decimal(alpha, beta, r, z), floor=0.0) < 1e-12
+    assert relerr(qfi_closed_form(1e6, 1e6, 2.3, 2.2, pmc=PmcSet.PMC3), 4091.19268,
+                  floor=0.0) < 1e-8
