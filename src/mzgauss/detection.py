@@ -135,8 +135,16 @@ def _n4_var(p0, p1, phi):
 
 
 def _quad_port_var(p: PortMoments, phi_l: float) -> float:
-    """Quadrature variance of a single mode at angle phi_l (vacuum gives 1/4)."""
-    return 0.25 + 0.5 * ((cmath.exp(-2j * phi_l) * p.dm).real + p.dn)
+    """Quadrature variance of a single mode at angle phi_l (vacuum gives 1/4).
+
+    With psi = arg(-dm) - 2 phi_l the angle between the squeezing and the
+    local oscillator, the variance is (e^{-2s} cos^2(psi/2) + e^{2s} sin^2(psi/2))/4
+    = e^{-2s}/4 + |dm| sin^2(psi/2), and e^{2s} = 1 + 2 dn + 2 |dm|.  Taking
+    e^{-2s} as the reciprocal of that sum subtracts nothing, so the squeezed
+    quadrature keeps its digits at any squeeze factor.
+    """
+    size = abs(p.dm)
+    return 0.25 / (1.0 + 2.0 * (p.dn + size)) + size * math.sin(0.5 * cmath.phase(-p.dm) - phi_l) ** 2
 
 
 def _x_mean(p0, p1, phi, phi_l):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NonPositiveInformation
+from .errors import DegenerateMatrix, NonPositiveInformation, NumericalOverflow
 from .interferometer import BsConvention, MziScenario
 from .states import pair_terms
 
@@ -134,24 +134,32 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     [e^{2r+2z} (alpha^2 - beta^2)^2 + S (alpha^2 e^{2r} + beta^2 e^{2z})] / bottom,
     a sum of non-negative terms.  Where top is 0 the plain sum is kept, so
     that the exact PMC1/PMC3 tie at beta = 0 is not broken by one rounding.
+
+    Squeeze factors whose sinh or exp overflow raise ``NumericalOverflow``; an
+    amplitude that overflows a term leaves inf or nan in the value it enters.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    e2r, e2z = math.exp(2.0 * r), math.exp(2.0 * z)
-    sh_plus, sh_minus = math.sinh(r + z) ** 2, math.sinh(r - z) ** 2
-    s_helper = 0.5 * (math.sinh(2.0 * r) ** 2 + math.sinh(2.0 * z) ** 2)
+    try:
+        e2r, e2z = math.exp(2.0 * r), math.exp(2.0 * z)
+        sh_plus, sh_minus = math.sinh(r + z) ** 2, math.sinh(r - z) ** 2
+        s_helper = 0.5 * (math.sinh(2.0 * r) ** 2 + math.sinh(2.0 * z) ** 2)
+    except OverflowError:
+        raise NumericalOverflow(f"the PMC QFIs overflow at r = {r:g}, z = {z:g}") from None
 
-    a2, b2 = alpha * alpha, beta * beta
-    a2e2r = a2 * e2r
-    pmc1 = a2e2r + b2 / e2z + sh_plus
-    coherent = a2e2r + b2 * e2z
-    pmc2 = coherent + sh_minus
-    split = (alpha - beta) * (alpha + beta)
-    bottom = s_helper + b2 * e2r + a2 * e2z
-    # bottom = 0 only at alpha = beta = r = z = 0, where np.where takes the plain sum
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflow below leaves an inf or a nan in its family's value, which
+    # qfi_closed_form and the regimes command check; bottom = 0 only at
+    # alpha = beta = r = z = 0, where np.where takes the plain sum
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a2, b2 = alpha * alpha, beta * beta
+        a2e2r = a2 * e2r
+        pmc1 = a2e2r + b2 / e2z + sh_plus
+        coherent = a2e2r + b2 * e2z
+        pmc2 = coherent + sh_minus
+        split = (alpha - beta) * (alpha + beta)
+        bottom = s_helper + b2 * e2r + a2 * e2z
         reduced = sh_plus + (e2r * e2z * (split * split) + s_helper * coherent) / bottom
-    pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, reduced)
+        pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, reduced)
     return np.stack((pmc1, pmc2, pmc3))
 
 
@@ -178,7 +186,11 @@ def qfi_closed_form(alpha: float, beta: float, r: float, z: float,
             row = 2
         else:
             raise ValueError(f"unknown PMC family {pmc!r}")
-        return float(pmc_qfis(alpha, beta, r, z)[row])
+        value = float(pmc_qfis(alpha, beta, r, z)[row])
+        if not math.isfinite(value):
+            raise NumericalOverflow(f"the {pmc.value} QFI overflows at |alpha| = {alpha:g}, "
+                                    f"|beta| = {beta:g}, r = {r:g}, z = {z:g}")
+        return value
 
     if theta is None or phi_zeta is None or theta_beta is None:
         raise ValueError("explicit phases are required when no PMC family is given")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NumericalOverflow
 from .pmc import PmcSet
 
 
@@ -46,8 +47,15 @@ class PowerFractions:
 
 
 def asymptotic_qfi(pmc: PmcSet, f: PowerFractions) -> float:
-    """Leading-order QFI for the family at the given fractions and total power."""
-    n2 = f.n_tot ** 2
+    """Leading-order QFI for the family at the given fractions and total power.
+
+    It never exceeds the Heisenberg limit <N_tot>^2, so it is finite whenever
+    that is.
+    """
+    try:
+        n2 = f.n_tot ** 2
+    except OverflowError:
+        raise NumericalOverflow(f"<N_tot>^2 overflows at n_tot = {f.n_tot:g}") from None
     if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
         return 4.0 * n2 * f.f_r * (f.f_alpha + f.f_z)
     if pmc is PmcSet.SQZVAC_WIDEBAND:

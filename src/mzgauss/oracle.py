@@ -9,7 +9,10 @@ Every exponential is of a truncated generator c L - c* L^T whose L has a single
 off-diagonal, so it splits into small independent chains of basis states: the
 beam splitters conserve n0 + n1 (one chain per anti-diagonal of the (n0, n1)
 grid), displacement couples n with n + 1 and squeezing n with n + 2.  Each
-chain is exponentiated exactly by :func:`_chain_unitary`.
+chain is exponentiated exactly through the eigenvectors of its real symmetric
+tridiagonal hopping matrix (:func:`_apply_chain`).  Those depend on n_max and
+the chain's shape alone, not on the amplitude, so they are computed once per
+n_max and cached.
 
 Layout: a two-mode state is a (n_max+1) x (n_max+1) complex array; axis 0 is
 input port 0, axis 1 is input port 1.  After :func:`apply_first_bs` the axes
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import TruncationError
 from .fisher import FisherMatrix
@@ -64,33 +66,45 @@ class FockVector:
         return abs(self.overlap(other)) ** 2
 
 
-def _chain_unitary(c: complex, off: np.ndarray) -> np.ndarray:
-    """exp(c L - c* L^T) for the real L that carries ``off`` below its diagonal.
+def _chain_basis(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the real symmetric L + L^T, ``off`` below the diagonal."""
+    return np.linalg.eigh(np.diag(off, -1))
 
-    The gauge diag(e^{i k (arg c - pi/2)}) turns the generator into i|c| times
-    the real symmetric tridiagonal L + L^T, whose eigenvectors exponentiate it.
+
+def _apply_chain(c: complex, basis: tuple[np.ndarray, np.ndarray], vecs: np.ndarray) -> np.ndarray:
+    """exp(c L - c* L^T) along the last axis of ``vecs``; ``basis`` is the chain's eigenpairs.
+
+    The gauge g = diag(e^{i k (arg c - pi/2)}) turns the generator into i|c|
+    times L + L^T = V diag(lambda) V^T, so the exponential is
+    g V e^{i|c| lambda} V^T g*: two products with V and no unitary.
     """
-    size = len(off) + 1
-    if size == 1:
-        return np.ones((1, 1), dtype=complex)
-    eigvals, eigvecs = eigh_tridiagonal(np.zeros(size), off)
-    unitary = (eigvecs * np.exp(1j * abs(c) * eigvals)) @ eigvecs.T
-    gauge = np.exp(1j * (np.angle(c) - 0.5 * math.pi) * np.arange(size))
-    return gauge[:, None] * unitary * gauge.conj()
+    eigvals, eigvecs = basis
+    gauge = np.exp(1j * (np.angle(c) - 0.5 * math.pi) * np.arange(len(eigvals)))
+    coeffs = (vecs * gauge.conj()) @ eigvecs
+    return ((coeffs * np.exp(1j * abs(c) * eigvals)) @ eigvecs.T) * gauge
 
 
 def _annihilator(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def _apply_ladder(vec: np.ndarray, c: complex, step: int) -> np.ndarray:
-    """exp(c (a^dag)^step - c* a^step) vec, one chain per residue of n mod step."""
-    out = np.empty_like(vec)
+@functools.lru_cache(maxsize=2)
+def _ladder_bases(n_max: int, step: int) -> tuple[tuple[np.ndarray, tuple], ...]:
+    """(Fock indices, eigenpairs) of each chain of (a^dag)^step, one per residue of n mod step."""
+    chains = []
     for first in range(step):
-        ns = np.arange(first, len(vec), step)
+        ns = np.arange(first, n_max + 1, step)
         # (a^dag)^step |n> = sqrt((n+1) ... (n+step)) |n+step>
         off = np.sqrt(np.prod([ns[:-1] + j for j in range(1, step + 1)], axis=0, dtype=float))
-        out[ns] = _chain_unitary(c, off) @ vec[ns]
+        chains.append((ns, _chain_basis(off)))
+    return tuple(chains)
+
+
+def _apply_ladder(vec: np.ndarray, c: complex, step: int) -> np.ndarray:
+    """exp(c (a^dag)^step - c* a^step) vec, chain by chain."""
+    out = np.empty_like(vec)
+    for ns, basis in _ladder_bases(len(vec) - 1, step):
+        out[ns] = _apply_chain(c, basis, vec[ns])
     return out
 
 
@@ -149,19 +163,27 @@ def prepare(scenario: MziScenario, n_max: int = 60) -> FockVector:
     return state
 
 
-def _sector_blocks(n_max: int, c: complex) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """exp(c a0^dag a1 - c* a0 a1^dag) as (flat indices, unitary) per n0 + n1 sector.
-
-    The blocks keep their exact sizes (2.4 MB in all at n_max = 60, against
-    7.2 MB for a padded stack).
-    """
+@functools.lru_cache(maxsize=2)
+def _sector_bases(n_max: int) -> tuple[tuple[np.ndarray, tuple], ...]:
+    """(flat indices, eigenpairs) of the chain a0^dag a1 on each n0 + n1 sector."""
     dim = n_max + 1
-    blocks = []
+    sectors = []
     for total in range(2 * n_max + 1):
         n0 = np.arange(max(0, total - n_max), min(total, n_max) + 1)
         off = np.sqrt((n0[:-1] + 1.0) * (total - n0[:-1]))
-        blocks.append((n0 * dim + (total - n0), _chain_unitary(c, off)))
-    return tuple(blocks)
+        sectors.append((n0 * dim + (total - n0), _chain_basis(off)))
+    return tuple(sectors)
+
+
+def _sector_blocks(n_max: int, c: complex) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """exp(c a0^dag a1 - c* a0 a1^dag) as (flat indices, transposed unitary) per sector.
+
+    The blocks keep their exact sizes (2.4 MB in all at n_max = 60, against
+    7.2 MB for a padded stack).  The chain applied to the rows of the identity
+    gives the transposed unitary.
+    """
+    return tuple((idx, _apply_chain(c, basis, np.eye(len(idx))))
+                 for idx, basis in _sector_bases(n_max))
 
 
 @functools.lru_cache(maxsize=2)
@@ -174,8 +196,8 @@ def _apply_blocks(blocks, amps: np.ndarray) -> np.ndarray:
     """Apply a sector-blocked two-mode unitary to one state or a stack of states."""
     flat = amps.reshape(-1, amps.shape[-2] * amps.shape[-1])
     out = np.empty(flat.shape, dtype=complex)
-    for idx, unitary in blocks:
-        out[:, idx] = flat[:, idx] @ unitary.T
+    for idx, unitary_t in blocks:
+        out[:, idx] = flat[:, idx] @ unitary_t
     return out.reshape(amps.shape)
 
 
@@ -241,8 +263,8 @@ def _apply_quadrature(amps: np.ndarray, local_phase: float) -> np.ndarray:
     return 0.5 * out
 
 
-def measure_stats(state: FockVector, observable: str, local_phase: float = 0.0) -> float:
-    """<psi| O |psi> for the named output observable.
+def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, float]:
+    """<psi| O |psi> for every output observable, from one |psi|^2 and one quadrature image.
 
     ``n4``/``n5`` are the output-port photon numbers (axes 0/1 of an evolved
     state), ``n_diff`` their difference, ``*_sq`` the squared operators, and
@@ -250,29 +272,27 @@ def measure_stats(state: FockVector, observable: str, local_phase: float = 0.0) 
     ``local_phase``.
     """
     amps = state.amplitudes
-    dim = amps.shape[0]
-    ns = np.arange(dim, dtype=float)
+    ns = np.arange(amps.shape[0], dtype=float)
     p = np.abs(amps) ** 2
+    p4 = p.sum(axis=1)
+    diff = ns[:, None] - ns[None, :]
+    xv = _apply_quadrature(amps, local_phase)
+    return {
+        "n4": float(p4 @ ns),
+        "n5": float(p.sum(axis=0) @ ns),
+        "n_diff": float(np.sum(diff * p)),
+        "n4_sq": float(p4 @ ns ** 2),
+        "n_diff_sq": float(np.sum(diff ** 2 * p)),
+        "quad": float(np.vdot(amps, xv).real),
+        "quad_sq": float(np.vdot(xv, xv).real),
+    }
 
-    if observable == "n4":
-        return float(p.sum(axis=1) @ ns)
-    if observable == "n5":
-        return float(p.sum(axis=0) @ ns)
-    if observable == "n_diff":
-        diff = ns[:, None] - ns[None, :]
-        return float(np.sum(diff * p))
-    if observable == "n4_sq":
-        return float(p.sum(axis=1) @ ns ** 2)
-    if observable == "n_diff_sq":
-        diff = ns[:, None] - ns[None, :]
-        return float(np.sum(diff ** 2 * p))
-    if observable == "quad":
-        xv = _apply_quadrature(amps, local_phase)
-        return float(np.vdot(amps, xv).real)
-    if observable == "quad_sq":
-        xv = _apply_quadrature(amps, local_phase)
-        return float(np.vdot(xv, xv).real)
-    raise ValueError(f"unknown observable {observable!r}; expected one of {_OBSERVABLES}")
+
+def measure_stats(state: FockVector, observable: str, local_phase: float = 0.0) -> float:
+    """<psi| O |psi> for the named output observable (see :func:`output_stats`)."""
+    if observable not in _OBSERVABLES:
+        raise ValueError(f"unknown observable {observable!r}; expected one of {_OBSERVABLES}")
+    return output_stats(state, local_phase)[observable]
 
 
 def generator_fisher(inside: FockVector) -> FisherMatrix:

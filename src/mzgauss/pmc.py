@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minimize import golden_minimize
-from .errors import UndefinedBoundary
+from .errors import NumericalOverflow, UndefinedBoundary
 from .fisher import phase_fisher_elements, pmc_qfis, qfi_from_elements
 from .interferometer import BsConvention
 from .states import TWO_PI, GaussianPort
@@ -128,21 +128,28 @@ def boundaries(r: float, z: float) -> RegimeBoundaries:
     """Evaluate every closed-form limit amplitude at squeeze factors (r, z)."""
     if r < 0.0 or z < 0.0:
         raise ValueError("squeeze factors must be >= 0")
-    s2r, s2z = math.sinh(2.0 * r), math.sinh(2.0 * z)
-    e2r, e2z = math.exp(2.0 * r), math.exp(2.0 * z)
-    s_helper = 0.5 * (s2r ** 2 + s2z ** 2)
-    shared = e2r * (e2r + 2.0 * e2z) + 1.0
+    try:
+        s2r, s2z = math.sinh(2.0 * r), math.sinh(2.0 * z)
+        e2r, e2z = math.exp(2.0 * r), math.exp(2.0 * z)
+        s_helper = 0.5 * (s2r ** 2 + s2z ** 2)
+        shared = e2r * (e2r + 2.0 * e2z) + 1.0
 
-    alpha_13 = math.sqrt(2.0 * s_helper * s2z / shared)
-    alpha_23 = math.exp(-z) * math.sqrt(s2r * s2z) / (2.0 * math.cosh(r - z))
-    alpha_circ = math.sqrt(s2z * (e2r * s2r + 2.0 * s_helper) / shared)
-    beta_12 = math.sqrt(0.5 * s2r)
-    return RegimeBoundaries(
-        r=r, z=z, s_helper=s_helper,
-        alpha_13=alpha_13, alpha_23=alpha_23,
-        alpha_circ=alpha_circ, beta_12=beta_12,
-        alpha_lim_single=single_mode_alpha_lim(z),
-    )
+        alpha_13 = math.sqrt(2.0 * s_helper * s2z / shared)
+        alpha_23 = math.exp(-z) * math.sqrt(s2r * s2z) / (2.0 * math.cosh(r - z))
+        alpha_circ = math.sqrt(s2z * (e2r * s2r + 2.0 * s_helper) / shared)
+        beta_12 = math.sqrt(0.5 * s2r)
+        limits = RegimeBoundaries(
+            r=r, z=z, s_helper=s_helper,
+            alpha_13=alpha_13, alpha_23=alpha_23,
+            alpha_circ=alpha_circ, beta_12=beta_12,
+            alpha_lim_single=single_mode_alpha_lim(z),
+        )
+        # a product that overflows gives inf, and a quotient by an inf gives 0
+        if not all(map(math.isfinite, (s_helper, shared, alpha_13, alpha_23, alpha_circ))):
+            raise OverflowError
+    except OverflowError:
+        raise NumericalOverflow(f"the regime boundaries overflow at r = {r:g}, z = {z:g}") from None
+    return limits
 
 
 REGIME_FAMILIES = (PmcSet.PMC1, PmcSet.PMC2, PmcSet.PMC3)

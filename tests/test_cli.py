@@ -254,15 +254,47 @@ def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_import_loads_no_scipy():
-    """Only ``verify`` needs the oracle, and the oracle is the only scipy user."""
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import mzgauss.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", probe, str(SRC)],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+@pytest.mark.parametrize("argv", [
+    ["regimes", "--r", "400", "--z", "1"],
+    ["regimes", "--r", "2.3", "--z", "2.2", "--alpha-max", "1e200", "--points", "2"],
+    ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e308"],
+])
+def test_overflow_exits_3_before_any_row(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "overflow" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no header, no row, so no nan or inf cell either
 
 
-def test_no_module_imports_scipy_sparse():
+def test_homodyne_sweep_at_squeeze_factor_170(capsys):
+    """The squeezed quadrature, e^{-340}/4, is no longer a cancelled difference."""
+    code = main(["sweep", "--axis", "phi", "--start", "0", "--stop", "1", "--steps", "3",
+                 "--set", "port1.zeta.factor=170", "--set", "port1.alpha.magnitude=1",
+                 "--set", "scheme=hom"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    header, rows = _rows(captured.out)
+    values = [[float(cell) for cell in row] for row in rows]
+    assert all(v > 0 and not math.isnan(v) for row in values for v in row[1:])
+    # phi = 0 reads the port-1 quadrature alone, whose mean has no slope (inf);
+    # elsewhere the vacuum noise of port 0 sets Delta phi = 1 exactly
+    assert [row[1] for row in values] == [math.inf, 1.0, 1.0]
+
+
+def test_no_module_mentions_scipy():
     for path in sorted((SRC / "mzgauss").glob("*.py")):
-        assert "scipy.sparse" not in path.read_text(encoding="utf-8"), path.name
+        assert "scipy" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_verify_runs_without_scipy():
+    """The oracle, and so every command, runs on numpy alone."""
+    probe = ("import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+             "from mzgauss.cli import main; "
+             "sys.exit(main(['verify', '--samples', '1', '--phases', '2']))")
+    proc = subprocess.run([sys.executable, "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, rows = _rows(proc.stdout)
+    assert len(rows) == 6 * 2 + 3
+    assert all(row[header.index("pass")] == "1" for row in rows)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,6 +126,26 @@ def test_homodyne_matches_squeezed_vacuum_result():
     sc = _sqzvac_scenario(1.4, 0.6, 0.9).with_phase(math.pi)
     point = sensitivity(Homodyne(), sc)
     assert point.delta_phi == pytest.approx(math.exp(-0.6) / 1.4, rel=1e-12)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.6, 2.3, 9.0, 20.0, 170.0])
+@pytest.mark.parametrize("squeeze_phase", [0.0, 1.3])
+def test_homodyne_variance_against_mpmath(factor, squeeze_phase):
+    """(cosh 2s - sinh 2s cos(theta - 2 phi_l)) / 4 to 50 digits, cancellation and all.
+
+    At phi = 0 the read-out port carries port 1 alone.  Squeeze phase 0 with
+    local phase 0 is the squeezed quadrature, e^{-2s}/4.
+    """
+    port1 = GaussianPort.from_params(1.0, 0.0, factor, squeeze_phase)
+    scenario = MziScenario(port1, GaussianPort.vacuum(), phase=0.0)
+    for local_phase in (0.0, 0.5, math.pi / 2, 2.0):
+        # the terms are e^{4s} times the result: 2s extra digits keep 50 of them
+        with mpmath.workdps(50 + int(2 * factor)):
+            s, angle = mpmath.mpf(factor), mpmath.mpf(squeeze_phase) - 2 * mpmath.mpf(local_phase)
+            expected = (mpmath.cosh(2 * s) - mpmath.sinh(2 * s) * mpmath.cos(angle)) / 4
+        got = observable_variance(Homodyne(local_phase), scenario)
+        assert got > 0.0
+        assert abs(got - expected) / expected < 1e-13, (local_phase, got, expected)
 
 
 def test_homodyne_local_phase_override():

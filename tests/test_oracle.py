@@ -8,12 +8,13 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
+from mzgauss import oracle
 from mzgauss.errors import TruncationError
 from mzgauss.fisher import FisherMatrix, fisher_matrix, qfi, qfi_closed_form
 from mzgauss.interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
 from mzgauss.oracle import (FockVector, _single_mode_vector, apply_first_bs,
                             attenuate, evolve, evolve_many, generator_fisher,
-                            measure_stats, numerical_fisher, prepare,
+                            measure_stats, numerical_fisher, output_stats, prepare,
                             single_mode_moments)
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort
@@ -109,6 +110,35 @@ def test_unknown_observable_rejected():
         measure_stats(state, "parity")
 
 
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_output_stats_match_explicit_operators(convention, rng):
+    """The one-pass measurement against dense operator matrix elements, and
+    ``measure_stats`` as its view."""
+    n_max = 40
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    n = a.T @ a
+    for _ in range(3):
+        port1 = GaussianPort.from_params(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
+        port0 = GaussianPort.from_params(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
+        local = float(rng.uniform(0, 2 * math.pi))
+        out = evolve(prepare(MziScenario(port1, port0, convention), n_max),
+                     float(rng.uniform(0, 2 * math.pi)), convention)
+        psi = out.amplitudes
+        quad = 0.5 * (np.exp(-1j * local) * a + np.exp(1j * local) * a.T)
+        n4, n5, x = n @ psi, psi @ n.T, quad @ psi
+        diff = n4 - n5
+        expected = {"n4": np.vdot(psi, n4), "n5": np.vdot(psi, n5), "n_diff": np.vdot(psi, diff),
+                    "n4_sq": np.vdot(n4, n4), "n_diff_sq": np.vdot(diff, diff),
+                    "quad": np.vdot(psi, x), "quad_sq": np.vdot(x, x)}
+        stats = output_stats(out, local)
+        assert set(stats) == set(expected)
+        for name, value in expected.items():
+            assert abs(stats[name] - value.real) <= 1e-14 * max(abs(value), 1.0), name
+            assert measure_stats(out, name, local) == stats[name]
+
+
 def test_opposite_squeezers_pass_the_first_bs_unattenuated():
     """zeta = -xi turns into two equal-and-opposite squeezed vacuums inside."""
     r, theta = 0.6, 0.8
@@ -199,20 +229,36 @@ def test_sector_beam_splitters_match_sparse_expm(n_max, rng):
         assert np.abs(attenuate(state, transmission).amplitudes.reshape(-1) - lossy).max() < 1e-12
 
 
-def test_single_mode_vector_matches_dense_expm(rng):
-    n_max = 60
+def _dense_single_mode(n_max, chi, gamma):
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
-    ad = a.conj().T
+    ad = a.T
     vacuum = np.zeros(n_max + 1, dtype=complex)
     vacuum[0] = 1.0
-    for _ in range(6):
-        port = GaussianPort.from_params(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi),
-                                        rng.uniform(0, 0.8), rng.uniform(0, 2 * math.pi))
-        chi = port.squeeze.factor * np.exp(1j * port.squeeze.phase)
-        gamma = port.displacement.value
-        squeezed = scipy.linalg.expm(0.5 * (np.conj(chi) * a @ a - chi * ad @ ad)) @ vacuum
-        expected = scipy.linalg.expm(gamma * ad - np.conj(gamma) * a) @ squeezed
+    squeezed = scipy.linalg.expm(0.5 * (np.conj(chi) * a @ a - chi * ad @ ad)) @ vacuum
+    return scipy.linalg.expm(gamma * ad - np.conj(gamma) * a) @ squeezed
+
+
+def test_single_mode_vector_matches_dense_expm(rng):
+    """Truncations in turn, so a cached eigenbasis is never reused at the wrong n_max."""
+    for n_max in (24, 60, 24, 60):
+        for _ in range(3):
+            port = GaussianPort.from_params(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi),
+                                            rng.uniform(0, 0.8), rng.uniform(0, 2 * math.pi))
+            chi = port.squeeze.factor * np.exp(1j * port.squeeze.phase)
+            expected = _dense_single_mode(n_max, chi, port.displacement.value)
+            assert np.abs(_single_mode_vector(port, n_max) - expected).max() < 1e-12
+
+
+def test_chain_eigenbases_are_shared_across_amplitudes():
+    """Two displacements in a row reuse one cached eigenbasis and stay exact."""
+    n_max = 60
+    _single_mode_vector(GaussianPort.from_params(0.3), n_max)  # fill the cache
+    hits = oracle._ladder_bases.cache_info().hits
+    for magnitude, phase in ((0.4, 0.2), (1.3, 2.9)):
+        port = GaussianPort.from_params(magnitude, phase)
+        expected = _dense_single_mode(n_max, 0.0, port.displacement.value)
         assert np.abs(_single_mode_vector(port, n_max) - expected).max() < 1e-12
+    assert oracle._ladder_bases.cache_info().hits == hits + 2
 
 
 @pytest.mark.parametrize("convention", list(BsConvention))
