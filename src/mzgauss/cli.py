@@ -22,7 +22,7 @@ from typing import IO
 import numpy as np
 
 from . import detection
-from .errors import (ConfigError, FlatObjective, InvalidEfficiency, MzGaussError,
+from .errors import (ConfigError, InvalidEfficiency, MzGaussError,
                      NumericalOverflow, TruncationError, UndefinedBoundary)
 from .fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
 from .heisenberg import PowerFractions, asymptotic_qfi, heisenberg_optima
@@ -164,8 +164,8 @@ def _normalized(cfg: dict) -> dict:
     return out
 
 
-def build_scenario(cfg: dict) -> MziScenario:
-    n = _normalized(cfg)
+def build_scenario(cfg: dict, n: dict) -> MziScenario:
+    """The scenario of a config, read from ``n``, its :func:`_normalized` view."""
     try:
         convention = BsConvention(n["convention"])
     except ValueError:
@@ -208,8 +208,8 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _config_comment(cfg: dict) -> str:
-    return "# config: " + json.dumps(_normalized(cfg), sort_keys=True)
+def _config_comment(normalized: dict) -> str:
+    return "# config: " + json.dumps(normalized, sort_keys=True)
 
 
 def _write_csv(stream: IO[str], comments: list[str], header: list[str], rows) -> None:
@@ -223,14 +223,14 @@ def _write_csv(stream: IO[str], comments: list[str], header: list[str], rows) ->
 # --- subcommands --------------------------------------------------------------
 
 def cmd_qfi(cfg: dict, out: IO[str], err: IO[str]) -> int:
-    scenario = build_scenario(cfg)
     n = _normalized(cfg)
+    scenario = build_scenario(cfg, n)
     fm = fisher_matrix(scenario)
     value = qfi(fm)
     bound = qcrb(value, n["shots"]) if value > 0 else math.inf
     limits = boundaries(scenario.port0.squeeze.factor, scenario.port1.squeeze.factor)
     comments = [
-        _config_comment(cfg),
+        _config_comment(n),
         f"# alpha_lim_13 = {fmt(limits.alpha_13)}",
         f"# alpha_lim_23 = {fmt(limits.alpha_23)}",
         f"# alpha_lim_circ = {fmt(limits.alpha_circ)}",
@@ -241,20 +241,6 @@ def cmd_qfi(cfg: dict, out: IO[str], err: IO[str]) -> int:
                [[fm.f_ss, fm.f_dd, fm.f_sd, value, bound]])
     err.write(f"qfi: F = {fmt(value)}, QCRB = {fmt(bound)} at {n['shots']} shot(s)\n")
     return 0
-
-
-def _sensitivities(schemes, scenario, at_optimum: bool):
-    values = []
-    for scheme in schemes:
-        try:
-            if at_optimum:
-                point = detection.optimal_working_point(scheme, scenario)
-            else:
-                point = detection.sensitivity(scheme, scenario)
-        except FlatObjective:
-            point = detection.SensitivityPoint(scenario.phase, math.inf)
-        values.append(point.delta_phi)
-    return values
 
 
 _SWEEP_KEYS = {"phi": "phase", "alpha": "port1.alpha.magnitude",
@@ -279,30 +265,36 @@ def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: 
     grid = np.linspace(lo, hi, steps)
 
     def scenario_at(value):
-        return build_scenario(dict(cfg, **{_SWEEP_KEYS[axis]: float(value)}))
+        return build_scenario(cfg, dict(n, **{_SWEEP_KEYS[axis]: float(value)}))
 
-    at_optimum = axis in ("alpha", "beta")
-    if not at_optimum:
+    # every column is one array over the grid: one kernel pass per scheme
+    if axis in ("alpha", "beta"):
+        scenarios = [scenario_at(value) for value in grid]
+        bounds = [_bound(scenario, n["shots"]) for scenario in scenarios]
+        columns = [detection.working_points(scheme, scenarios)[1].tolist() for scheme in schemes]
+        columns.append(bounds)
+        tail = "\n"
+    else:
         # neither the phase nor the efficiency enters the ports or the Fisher matrix
         base = scenario_at(grid[0])
-        bound = _bound(base, n["shots"])
-    rows = []
-    for value in grid:
-        if at_optimum:
-            scenario = scenario_at(value)
-            bound = _bound(scenario, n["shots"])
-        elif axis == "phi":
-            scenario = base.with_phase(float(value))
+        tail = "," + fmt(_bound(base, n["shots"])) + "\n"  # the same bound on every row
+        if axis == "phi":
+            columns = [detection.sensitivities(scheme, base, grid) for scheme in schemes]
         else:
             try:
-                scenario = base.with_efficiency(float(value))
+                for value in grid:
+                    base.with_efficiency(float(value))
             except InvalidEfficiency as exc:
                 raise ConfigError(str(exc)) from None
-        rows.append([value, *_sensitivities(schemes, scenario, at_optimum), bound])
+            columns = [detection.sensitivities(scheme, base, base.phase, grid)
+                       for scheme in schemes]
+        columns = [column.tolist() for column in columns]
 
     header = [axis] + [f"delta_phi_{tag}" for tag in tags] + ["delta_phi_qcrb"]
-    _write_csv(out, [_config_comment(cfg), f"# axis: {axis} from {fmt(lo)} to {fmt(hi)} in {steps} steps"],
-               header, rows)
+    _write_csv(out, [_config_comment(n), f"# axis: {axis} from {fmt(lo)} to {fmt(hi)} in {steps} steps"],
+               header, [])
+    line = ",".join(["%.12g"] * (1 + len(columns))) + tail  # fmt() of each cell, inf included
+    out.writelines(line % row for row in zip(grid.tolist(), *columns))
     err.write(f"sweep: {steps} rows over {axis}\n")
     return 0
 
@@ -418,6 +410,8 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
                out: IO[str], err: IO[str]) -> int:
     from . import oracle  # only this command needs the Fock oracle; the others never load it
 
+    if n_max < 2:  # the truncation check measures the top two shells: no shell would be left
+        raise ConfigError(f"verify requires --n-max >= 2, got {n_max}")
     rng = np.random.default_rng(seed)
     rows = []
     failures = 0
@@ -443,11 +437,11 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
         inside = oracle.apply_first_bs(oracle.prepare(base, n_max), convention)
         phis = rng.uniform(0.0, 2.0 * math.pi, phases)
 
-        for phi, evolved in zip(phis, oracle.evolve_many(inside, phis)):
-            scenario = base.with_phase(float(phi))
-            stats = oracle.output_stats(evolved, scenario.port1.displacement.phase)
-            for name, scheme, obs, tol in schemes:
-                closed = detection.observable_mean(scheme, scenario)
+        closed_forms = [detection.observable_stats(scheme, base, phis) for _, scheme, _, _ in schemes]
+        for i, (phi, evolved) in enumerate(zip(phis, oracle.evolve_many(inside, phis))):
+            stats = oracle.output_stats(evolved, base.port1.displacement.phase)
+            for (name, _, obs, tol), (means, variances) in zip(schemes, closed_forms):
+                closed = float(means[i])
                 meas = stats[obs]
                 rel = _relerr(closed, meas)
                 ok = rel < tol
@@ -455,7 +449,7 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
                 rows.append([case, name, phi, closed, meas, rel, int(ok)])
 
                 vname = name.replace("mean", "var")
-                closed_v = detection.observable_variance(scheme, scenario)
+                closed_v = float(variances[i])
                 meas_v = stats[obs + "_sq"] - meas ** 2
                 rel_v = _relerr(closed_v, meas_v)
                 ok_v = rel_v < 1e-6

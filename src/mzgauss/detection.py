@@ -3,8 +3,9 @@
 Three realistic read-outs of the interferometer are modeled: the photocurrent
 difference between both output ports, the intensity of output port 4 alone,
 and balanced homodyne detection of the port-4 quadrature.  Every quantity is
-computed from the two ports' moments through one generic path; the cube
-beam-splitter convention enters as a phase rotation of port 0.
+computed from the two ports' moments by one kernel over arrays of phases (and
+of stacked scenarios); the scalar functions are its one-element views.  The
+cube beam-splitter convention enters as a phase rotation of port 0.
 
 Detector efficiency eta < 1 is the standard fictitious beam splitter of
 transmission sqrt(eta) in front of each ideal detector.  Referred to the ideal
@@ -26,7 +27,6 @@ from typing import Union
 
 import numpy as np
 
-from ._minimize import golden_minimize
 from .errors import FlatObjective
 from .interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
 from .states import TWO_PI, PortMoments, pair_terms
@@ -83,139 +83,302 @@ def effective_moments(scenario: MziScenario) -> tuple[PortMoments, PortMoments]:
     return p0, p1
 
 
-def _setup(scheme: DetectionScheme, scenario: MziScenario):
-    """Moments, local-oscillator phase and loss excess (1 - eta)/eta of a scenario."""
+def _terms(scheme: DetectionScheme, scenario: MziScenario) -> tuple:
+    """The phase-independent constants of a scheme's mean, variance and slope."""
     p0, p1 = effective_moments(scenario)
-    phi_l = None
     if isinstance(scheme, Homodyne):
         phi_l = scheme.local_phase
         if phi_l is None:
             phi_l = scenario.port1.displacement.phase
-    return p0, p1, phi_l, (1.0 - scenario.efficiency) / scenario.efficiency
+        rot = cmath.exp(-1j * phi_l)
+        # Quadrature variance of each port at angle phi_l (vacuum gives 1/4).  With
+        # psi = arg(-dm) - 2 phi_l the angle between the squeezing and the local
+        # oscillator it is (e^{-2s} cos^2(psi/2) + e^{2s} sin^2(psi/2))/4
+        # = e^{-2s}/4 + |dm| sin^2(psi/2), and e^{2s} = 1 + 2 dn + 2 |dm|.  Taking
+        # e^{-2s} as the reciprocal of that sum subtracts nothing, so the squeezed
+        # quadrature keeps its digits at any squeeze factor.
+        q0, q1 = (0.25 / (1.0 + 2.0 * (p.dn + abs(p.dm)))
+                  + abs(p.dm) * math.sin(0.5 * cmath.phase(-p.dm) - phi_l) ** 2
+                  for p in (p0, p1))
+        return (rot * p0.mean_a).real, (rot * p1.mean_a).real, q0, q1
+    re01 = (p0.mean_a * p1.mean_a.conjugate()).real
+    if isinstance(scheme, DifferenceIntensity):
+        base, cross = pair_terms(p0, p1)
+        corr = (p0.corr_na.conjugate() * p1.mean_a - p0.mean_a * p1.corr_na.conjugate()).real
+        return (p0.mean_n - p1.mean_n, re01, p0.var_n + p1.var_n, base + 2.0 * cross, corr,
+                p0.mean_n + p1.mean_n)
+    # e^{-2s} = 1/(1 + 2 dn + 2|dm|) and the squeezing axis e^{-i arg(-dm)/2}, scaled
+    # by 2 sqrt|dm|, of each port: a port's quadrature noise along an amplitude u,
+    # (2 dn + 1)|u|^2 + 2 Re(u*^2 dm), is then e^{-2s}|u|^2 + Im(axis u)^2
+    shrink0, shrink1 = (1.0 / (1.0 + 2.0 * (p.dn + abs(p.dm))) for p in (p0, p1))
+    axis0, axis1 = (2.0 * math.sqrt(abs(p.dm)) * cmath.exp(-0.5j * cmath.phase(-p.dm))
+                    for p in (p0, p1))
+    return (p0.mean_n - p1.mean_n, re01, p0.mean_a, p1.mean_a, p0.dn, p1.dn, p0.dm, p1.dm,
+            shrink0, shrink1, axis0, axis1)
 
 
-def _nd_mean(p0, p1, phi):
-    return (math.cos(phi) * (p1.mean_n - p0.mean_n)
-            - 2.0 * math.sin(phi) * (p0.mean_a * p1.mean_a.conjugate()).real)
+def _excess(efficiency):
+    """Loss excess (1 - eta)/eta: the detector noise added to the ideal observable."""
+    return (1.0 - efficiency) / efficiency
 
 
-def _nd_slope(p0, p1, phi):
-    return abs(math.sin(phi) * (p0.mean_n - p1.mean_n)
-               - 2.0 * math.cos(phi) * (p0.mean_a * p1.mean_a.conjugate()).real)
+def _kernel(scheme: DetectionScheme, terms, phi, excess):
+    """Mean, variance with detector loss (clamped at 0) and |d<A>/dphi| at the phases ``phi``.
 
-
-def _nd_var(p0, p1, phi):
-    base, cross = pair_terms(p0, p1)
-    corr = (p0.corr_na.conjugate() * p1.mean_a
-            - p0.mean_a * p1.corr_na.conjugate()).real
-    return (math.cos(phi) ** 2 * (p0.var_n + p1.var_n)
-            + math.sin(phi) ** 2 * (base + 2.0 * cross)
-            + 2.0 * math.sin(2.0 * phi) * corr)
-
-
-def _n4_mean(p0, p1, phi):
-    half = 0.5 * phi
-    return (math.sin(half) ** 2 * p0.mean_n + math.cos(half) ** 2 * p1.mean_n
-            - math.sin(phi) * (p0.mean_a * p1.mean_a.conjugate()).real)
-
-
-def _n4_slope(p0, p1, phi):
-    return 0.5 * _nd_slope(p0, p1, phi)
-
-
-def _n4_var(p0, p1, phi):
-    half = 0.5 * phi
-    sin_phi = math.sin(phi)
-    base, cross = pair_terms(p0, p1)
-    return (math.sin(half) ** 4 * p0.var_n + math.cos(half) ** 4 * p1.var_n
-            + 0.25 * sin_phi ** 2 * base + 0.5 * sin_phi ** 2 * cross
-            - sin_phi * (p0.mean_a * p1.mean_a.conjugate()).real
-            - 2.0 * math.sin(half) ** 2 * sin_phi * (p0.corr_na.conjugate() * p1.mean_a).real
-            - 2.0 * math.cos(half) ** 2 * sin_phi * (p0.mean_a * p1.corr_na.conjugate()).real)
-
-
-def _quad_port_var(p: PortMoments, phi_l: float) -> float:
-    """Quadrature variance of a single mode at angle phi_l (vacuum gives 1/4).
-
-    With psi = arg(-dm) - 2 phi_l the angle between the squeezing and the
-    local oscillator, the variance is (e^{-2s} cos^2(psi/2) + e^{2s} sin^2(psi/2))/4
-    = e^{-2s}/4 + |dm| sin^2(psi/2), and e^{2s} = 1 + 2 dn + 2 |dm|.  Taking
-    e^{-2s} as the reciprocal of that sum subtracts nothing, so the squeezed
-    quadrature keeps its digits at any squeeze factor.
+    ``terms`` are the constants of :func:`_terms`, as floats or as ``(rows, 1)``
+    arrays of stacked scenarios; they broadcast against ``phi`` and ``excess``.
+    The mean and the variance are those of the ideal observable; the slope of
+    the mean scales out of Delta phi, so loss only adds to the variance.
     """
-    size = abs(p.dm)
-    return 0.25 / (1.0 + 2.0 * (p.dn + size)) + size * math.sin(0.5 * cmath.phase(-p.dm) - phi_l) ** 2
+    if isinstance(scheme, DifferenceIntensity):
+        split, re01, var_sum, pair, corr, total = terms
+        cos, sin = np.cos(phi), np.sin(phi)
+        mean = -(cos * split) - 2.0 * sin * re01
+        slope = np.abs(sin * split - 2.0 * cos * re01)
+        # n4 + n5 equals the conserved total input photon number
+        var = (cos ** 2 * var_sum + sin ** 2 * pair + 2.0 * np.sin(2.0 * phi) * corr
+               + excess * total)
+    elif isinstance(scheme, SingleModeIntensity):
+        split, re01, mean0, mean1, dn0, dn1, dm0, dm1, shrink0, shrink1, axis0, axis1 = terms
+        half = 0.5 * phi
+        sin_half, cos_half = np.sin(half), np.cos(half)
+        sin2_half, cos2_half = sin_half ** 2, cos_half ** 2
+        # Port 4 is the Gaussian mode cos(phi/2) a1 - sin(phi/2) a0, with amplitude u
+        # and centred moments dn, dm: Var n4 = dn^2 + dn + |dm|^2 + (2 dn + 1)|u|^2
+        # + 2 Re(u*^2 dm).  The last two terms split into each port's quadrature
+        # noise along u, weighted sin^2(phi/2) and cos^2(phi/2), so no term is
+        # negative.  Taking u itself, not |u|^2 written out, keeps the digits next
+        # to a dark fringe, where the terms of |u|^2 cancel.
+        u = cos_half * mean1 - sin_half * mean0
+        dn = sin2_half * dn0 + cos2_half * dn1
+        dm = sin2_half * dm0 + cos2_half * dm1
+        u_re, u_im = u.real, u.imag
+        size = u_re ** 2 + u_im ** 2
+        mean = size + dn
+        slope = 0.5 * np.abs(np.sin(phi) * split - 2.0 * np.cos(phi) * re01)
+        var = (dn * (dn + 1.0) + dm.real ** 2 + dm.imag ** 2
+               + sin2_half * (shrink0 * size + (axis0.real * u_im + axis0.imag * u_re) ** 2)
+               + cos2_half * (shrink1 * size + (axis1.real * u_im + axis1.imag * u_re) ** 2)
+               + excess * mean)
+    else:
+        quad0, quad1, qvar0, qvar1 = terms
+        half = 0.5 * phi
+        sin_half, cos_half = np.sin(half), np.cos(half)
+        mean = -sin_half * quad0 + cos_half * quad1
+        slope = 0.5 * np.abs(cos_half * quad0 + sin_half * quad1)
+        var = sin_half ** 2 * qvar0 + cos_half ** 2 * qvar1 + 0.25 * excess
+    return mean, np.maximum(var, 0.0), slope
 
 
-def _x_mean(p0, p1, phi, phi_l):
-    half = 0.5 * phi
-    rot = cmath.exp(-1j * phi_l)
-    return (-math.sin(half) * (rot * p0.mean_a).real
-            + math.cos(half) * (rot * p1.mean_a).real)
+def _delta_phi(var, slope):
+    """sqrt(var)/slope, +inf where the slope vanishes."""
+    return np.divide(np.sqrt(var), slope, out=np.full(np.shape(var), math.inf),
+                     where=slope != 0.0)
 
 
-def _x_slope(p0, p1, phi, phi_l):
-    half = 0.5 * phi
-    rot = cmath.exp(-1j * phi_l)
-    return 0.5 * abs(math.cos(half) * (rot * p0.mean_a).real
-                     + math.sin(half) * (rot * p1.mean_a).real)
+def _check_positive(values) -> None:
+    """The :class:`SensitivityPoint` contract for arrays: every value is positive or +inf."""
+    bad = ~((values > 0.0) | np.isinf(values))
+    if bad.any():
+        raise ValueError(f"delta_phi must be positive or +inf, got {float(values[bad][0])}")
 
 
-def _x_var(p0, p1, phi, phi_l):
-    half = 0.5 * phi
-    return (math.sin(half) ** 2 * _quad_port_var(p0, phi_l)
-            + math.cos(half) ** 2 * _quad_port_var(p1, phi_l))
+def observable_stats(scheme: DetectionScheme, scenario: MziScenario, phases):
+    """Means and variances of the ideal observable at each of ``phases``, as arrays.
+
+    The variance includes detector loss, in units of the ideal observable.
+    """
+    mean, var, _ = _kernel(scheme, _terms(scheme, scenario), np.asarray(phases, dtype=float),
+                           _excess(scenario.efficiency))
+    return mean, var
+
+
+def sensitivities(scheme: DetectionScheme, scenario: MziScenario, phases,
+                  efficiencies=None) -> np.ndarray:
+    """Delta phi at each of ``phases``, broadcast against ``efficiencies``.
+
+    Without ``efficiencies`` the scenario's efficiency holds throughout.  A
+    value that is neither positive nor +inf raises like :class:`SensitivityPoint`.
+    """
+    phases = np.asarray(phases, dtype=float)
+    excess = _excess(scenario.efficiency if efficiencies is None
+                     else np.asarray(efficiencies, dtype=float))
+    _, var, slope = _kernel(scheme, _terms(scheme, scenario), phases, excess)
+    values = _delta_phi(var, slope)
+    _check_positive(values)
+    return values
 
 
 def observable_mean(scheme: DetectionScheme, scenario: MziScenario) -> float:
     """Mean of the ideal (lossless) observable at the scenario phase."""
-    p0, p1, phi_l, _ = _setup(scheme, scenario)
-    phi = scenario.phase
-    if isinstance(scheme, DifferenceIntensity):
-        return _nd_mean(p0, p1, phi)
-    if isinstance(scheme, SingleModeIntensity):
-        return _n4_mean(p0, p1, phi)
-    return _x_mean(p0, p1, phi, phi_l)
-
-
-def _var_slope(scheme, setup, phi) -> tuple[float, float]:
-    """Variance with detector loss, clamped at 0, and |d<A>/dphi| at phi."""
-    p0, p1, phi_l, excess = setup
-    if isinstance(scheme, DifferenceIntensity):
-        # n4 + n5 equals the conserved total input photon number
-        var = _nd_var(p0, p1, phi) + excess * (p0.mean_n + p1.mean_n)
-        slope = _nd_slope(p0, p1, phi)
-    elif isinstance(scheme, SingleModeIntensity):
-        var = _n4_var(p0, p1, phi) + excess * _n4_mean(p0, p1, phi)
-        slope = _n4_slope(p0, p1, phi)
-    else:
-        var = _x_var(p0, p1, phi, phi_l) + 0.25 * excess
-        slope = _x_slope(p0, p1, phi, phi_l)
-    return max(var, 0.0), slope
-
-
-def _delta_phi(var: float, slope: float) -> float:
-    return math.inf if slope == 0.0 else math.sqrt(var) / slope
+    return float(observable_stats(scheme, scenario, [scenario.phase])[0][0])
 
 
 def observable_variance(scheme: DetectionScheme, scenario: MziScenario) -> float:
     """Variance at the scenario phase, detector loss included, in units of the ideal observable."""
-    return _var_slope(scheme, _setup(scheme, scenario), scenario.phase)[0]
+    return float(observable_stats(scheme, scenario, [scenario.phase])[1][0])
 
 
 def sensitivity(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
     """Delta phi = sqrt(variance) / |slope| at the scenario phase and efficiency."""
-    setup = _setup(scheme, scenario)
-    return SensitivityPoint(scenario.phase, _delta_phi(*_var_slope(scheme, setup, scenario.phase)))
+    _, var, slope = _kernel(scheme, _terms(scheme, scenario), np.array([scenario.phase]),
+                            _excess(scenario.efficiency))
+    return SensitivityPoint(scenario.phase, float(_delta_phi(var, slope)[0]))
 
 
 # --- optimal working points ---------------------------------------------------
 
 _SAMPLES = 16   # phases sampled per optimum; variance and slope^2 have degree <= 2 in phi
+_PHASES = np.arange(_SAMPLES) * (TWO_PI / _SAMPLES)
 _ORDERS = np.arange(-2, 3)
+_WEIGHTS = 1j * (_ORDERS[:, None] - _ORDERS)  # i (j - k) for V's order j and Q's order k
 _TRIM = 1e-12   # stationarity coefficients at or below this share of the largest are rounding
 _TIE = 1e-12    # a candidate must be lower by more than this relative margin to win
-_POLISH = 1e-3  # half-width in rad of the golden refinement around the winner
+_POLISH = 1e-3  # half-width in rad of the refinement window around the winner
+_LEVELS = 7     # refinement levels; each shrinks the window 16-fold, to 3.7e-12 rad spacing
+_OFFSETS = np.arange(-16, 17) / 16.0  # grid of one level, in units of its half-width
+_FRINGE = 1e-5  # a port-4 amplitude below this share of its terms has cancelled
+_NUDGE = 4e-5   # rad from a dark-fringe root to where its value is judged
+
+
+def _stationarity(v, q):
+    """Coefficients of e^{i n phi}, n = -4..4, of V'Q - VQ' from those of V and Q (n = -2..2).
+
+    The product of e^{i j phi} in V and e^{i k phi} in Q enters with i (j - k),
+    so the n = +-4 coefficients vanish identically.
+    """
+    out = np.zeros((v.shape[0], 9), dtype=complex)
+    for j, weight in enumerate(_WEIGHTS):
+        out[:, j:j + 5] += v[:, j:j + 1] * (weight * q)
+    return out
+
+
+def _root_phases(coeffs):
+    """Sorted phases of the roots of sum_n coeffs[:, n + 4] e^{i n phi}, one row each.
+
+    Per row this is ``numpy.roots`` on the coefficients of z^8 ... z^0: a zero
+    low-order coefficient adds a root at 0, i.e. phase 0.  Rows are grouped by
+    their span of non-zero coefficients, and each group's companion matrices
+    go to one stacked ``numpy.linalg.eigvals``.  Rows with no root get the
+    sample phases.  Shorter rows are padded with NaN, which never wins.
+    """
+    nonzero = coeffs != 0.0
+    width = coeffs.shape[1]
+    low = nonzero.argmax(axis=1)
+    high = np.where(nonzero.any(axis=1), width - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
+    spans = set(zip(low.tolist(), high.tolist()))
+    columns = max(hi if hi else _SAMPLES for _, hi in spans)  # hi - lo roots and lo zeros
+    out = np.full((coeffs.shape[0], columns), np.nan)
+    for lo, hi in spans:
+        rows = np.flatnonzero((low == lo) & (high == hi))
+        degree = hi - lo
+        if degree + lo == 0:
+            out[rows, :_SAMPLES] = _PHASES
+            continue
+        roots = np.zeros((rows.size, degree + lo), dtype=complex)
+        if degree:
+            poly = coeffs[rows, hi::-1][:, :degree + 1]   # highest order first
+            companion = np.zeros((rows.size, degree, degree), dtype=complex)
+            companion[:, 1:, :-1] = np.eye(degree - 1)
+            companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+            roots[:, :degree] = np.linalg.eigvals(companion)
+        out[rows, :degree + lo] = np.sort(np.angle(roots) % TWO_PI, axis=1)
+    return out
+
+
+def _search_value(var, slope):
+    """Delta phi as the optimizer sees it: a variance clamped to 0 never wins.
+
+    A zero Delta phi would beat every quantum bound; it only arises on the dark
+    fringe of two coherent inputs, where u and the variance are exactly 0.
+    """
+    values = _delta_phi(var, slope)
+    values[values == 0.0] = math.inf
+    return values
+
+
+def _dark_fringe(terms, phi):
+    """Where the single-mode Delta phi is a rounded 0/0, next to a dark fringe.
+
+    There the port-4 amplitude u = cos(phi/2) a1 - sin(phi/2) a0 keeps fewer
+    than 11 of its 16 digits, and so do the variance and the slope; searching
+    such phases would pick out rounding noise.  ``terms`` are the
+    single-mode constants of :func:`_terms`.
+    """
+    _, _, mean0, mean1 = terms[:4]
+    half = 0.5 * phi
+    cos_half, sin_half = np.cos(half), np.sin(half)
+    size = np.abs(cos_half * np.abs(mean1)) + np.abs(sin_half * np.abs(mean0))
+    return np.abs(cos_half * mean1 - sin_half * mean0) < _FRINGE * size
+
+
+def _working_points(scheme: DetectionScheme, terms, excess):
+    """(phase, Delta phi, flat) of stacked scenarios; ``terms`` and ``excess`` are (rows, 1).
+
+    Rows whose mean carries no phase dependence are marked flat, with +inf.
+    """
+    _, var, slope = _kernel(scheme, terms, _PHASES, excess)
+    flat = ~slope.any(axis=1)
+    phase = np.zeros(flat.shape)
+    best = np.full(flat.shape, math.inf)
+    live = np.flatnonzero(~flat)
+    if not live.size:
+        return phase, best, flat
+    terms = [t[live] for t in terms]
+    excess = excess[live]
+    v = np.fft.fft(var[live])[:, _ORDERS] / _SAMPLES
+    q = np.fft.fft(slope[live] ** 2)[:, _ORDERS] / _SAMPLES
+    stationary = _stationarity(v, q)
+    size = np.abs(stationary)
+    stationary[size <= _TRIM * size.max(axis=1, keepdims=True)] = 0.0
+    candidates = _root_phases(stationary)
+    if isinstance(scheme, SingleModeIntensity):
+        # a root on a dark fringe is judged just beside it, where the value keeps its digits
+        candidates = np.where(_dark_fringe(terms, candidates), (candidates + _NUDGE) % TWO_PI,
+                              candidates)
+    values = _search_value(*_kernel(scheme, terms, candidates, excess)[1:])
+
+    # the candidates are sorted, so a later one must be lower by more than the tie margin
+    best_phi, best_value = np.zeros(live.size), np.full(live.size, math.inf)
+    for phi, value in zip(candidates.T, values.T):
+        wins = value < best_value * (1.0 - _TIE)
+        best_phi = np.where(wins, phi, best_phi)
+        best_value = np.where(wins, value, best_value)
+
+    # lockstep grid refinement around every winner, kept where it is lower
+    center, low, half = best_phi, best_value, _POLISH
+    rows = np.arange(live.size)
+    for _ in range(_LEVELS):
+        trial = center[:, None] + half * _OFFSETS
+        trial_values = _search_value(*_kernel(scheme, terms, trial % TWO_PI, excess)[1:])
+        if isinstance(scheme, SingleModeIntensity):
+            trial_values[_dark_fringe(terms, trial)] = math.inf
+        pick = trial_values.argmin(axis=1)
+        center, low = trial[rows, pick], trial_values[rows, pick]
+        half /= 16.0
+    wins = low < best_value * (1.0 - _TIE)
+    phase[live] = np.where(wins, center % TWO_PI, best_phi)
+    best[live] = np.where(wins, low, best_value)
+    return phase, best, flat
+
+
+def _stacked(scheme: DetectionScheme, scenarios):
+    """Constants and loss excess of several scenarios as (rows, 1) arrays."""
+    columns = zip(*(_terms(scheme, scenario) for scenario in scenarios))
+    excess = _excess(np.array([[scenario.efficiency] for scenario in scenarios]))
+    return [np.array(column)[:, None] for column in columns], excess
+
+
+def working_points(scheme: DetectionScheme, scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal phases and Delta phi of many scenarios in one pass.
+
+    A scenario without any phase dependence gets its own phase and +inf, as
+    :func:`optimal_working_point` would raise ``FlatObjective`` for it.
+    """
+    phase, values, flat = _working_points(scheme, *_stacked(scheme, scenarios))
+    phase[flat] = [scenario.phase for scenario, f in zip(scenarios, flat) if f]
+    _check_positive(values)
+    return phase, values
 
 
 def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
@@ -226,8 +389,13 @@ def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> Sen
     coefficients come from 16 samples; the stationarity condition
     V'Q - VQ' = 0 is then a polynomial of degree 8 in e^{i phi}, and the phase
     of each root is judged with the closed form ``sensitivity`` uses.  Among
-    near-equal candidates the lowest phase wins; a golden-section search
-    around the winner polishes the last digits where the root is imprecise.
+    near-equal candidates the lowest phase wins; a grid refinement around the
+    winner polishes the last digits where the root is imprecise.  This is the
+    one-row view of :func:`working_points`.
+
+    Next to a dark fringe the single-mode Delta phi is a 0/0 quotient whose
+    digits the rounding of the port-4 amplitude eats: there a root is judged
+    4e-5 rad aside, and the refinement skips such phases.
 
     For the single-mode scheme with an undisplaced port 0 the optimum
     reaches the asymptote exp(-r)/|alpha| only once exp(-2r)|alpha|^2
@@ -235,31 +403,7 @@ def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> Sen
     noise keeps it well above (8.0 times at |alpha| = 1e3, r = 2.3, z = 2.2;
     see ``SingleModeIntensity``).
     """
-    setup = _setup(scheme, scenario)
-
-    def delta_phi(phi):
-        return _delta_phi(*_var_slope(scheme, setup, phi))
-
-    phases = np.arange(_SAMPLES) * (TWO_PI / _SAMPLES)
-    var, slope = np.array([_var_slope(scheme, setup, phi) for phi in phases]).T
-    if not slope.any():
+    phase, values, flat = _working_points(scheme, *_stacked(scheme, [scenario]))
+    if flat[0]:
         raise FlatObjective("the mean carries no phase dependence")
-    v = np.fft.fft(var)[_ORDERS] / _SAMPLES
-    q = np.fft.fft(slope ** 2)[_ORDERS] / _SAMPLES
-    # coefficients of e^{i n phi}, n = -4..4, of V'Q - VQ'
-    stationary = np.convolve(1j * _ORDERS * v, q) - np.convolve(v, 1j * _ORDERS * q)
-    stationary[np.abs(stationary) <= _TRIM * np.abs(stationary).max()] = 0.0
-    roots = np.roots(stationary[::-1])
-    candidates = np.sort(np.angle(roots) % TWO_PI) if roots.size else phases
-
-    best_phi, best = 0.0, math.inf
-    for phi in candidates:
-        value = delta_phi(float(phi))
-        if value < best * (1.0 - _TIE):
-            best_phi, best = float(phi), value
-
-    x, value = golden_minimize(lambda p: delta_phi(p % TWO_PI),
-                               best_phi - _POLISH, best_phi + _POLISH, tol=1e-9)
-    if value < best * (1.0 - _TIE):
-        best_phi, best = x % TWO_PI, value
-    return SensitivityPoint(best_phi, best)
+    return SensitivityPoint(float(phase[0]), float(values[0]))

@@ -158,7 +158,14 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
         pmc2 = coherent + sh_minus
         split = (alpha - beta) * (alpha + beta)
         bottom = s_helper + b2 * e2r + a2 * e2z
-        reduced = sh_plus + (e2r * e2z * (split * split) + s_helper * coherent) / bottom
+        top = e2r * e2z * (split * split) + s_helper * coherent
+        reduced = sh_plus + top / bottom
+        if np.isinf(top).any():
+            # the numerator alone overflows: divide first, every factor of
+            # e2r split * e2z split / bottom and S / bottom * coherent is bounded
+            scaled = sh_plus + ((e2r * split) * (e2z * (split / bottom))
+                                + (s_helper / bottom) * coherent)
+            reduced = np.where(np.isinf(top), scaled, reduced)
         pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, reduced)
     return np.stack((pmc1, pmc2, pmc3))
 

@@ -33,8 +33,8 @@ class PowerFractions:
         total = self.f_alpha + self.f_beta + self.f_r + self.f_z
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"fractions must sum to 1, got {total}")
-        if not self.n_tot > 0.0:
-            raise ValueError("n_tot must be positive")
+        if not (self.n_tot > 0.0 and math.isfinite(self.n_tot)):
+            raise ValueError(f"n_tot must be positive and finite, got {self.n_tot}")
 
     def to_magnitudes(self) -> tuple[float, float, float, float]:
         """(alpha, beta, r, z) realizing these fractions exactly, sinh^2 s = f n."""
@@ -49,24 +49,24 @@ class PowerFractions:
 def asymptotic_qfi(pmc: PmcSet, f: PowerFractions) -> float:
     """Leading-order QFI for the family at the given fractions and total power.
 
-    It never exceeds the Heisenberg limit <N_tot>^2, so it is finite whenever
-    that is.
+    It never exceeds the Heisenberg limit <N_tot>^2, and <N_tot>^2 is scaled
+    last, so it is finite whenever that is.
     """
     try:
         n2 = f.n_tot ** 2
     except OverflowError:
         raise NumericalOverflow(f"<N_tot>^2 overflows at n_tot = {f.n_tot:g}") from None
     if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
-        return 4.0 * n2 * f.f_r * (f.f_alpha + f.f_z)
+        return n2 * (4.0 * f.f_r * (f.f_alpha + f.f_z))
     if pmc is PmcSet.SQZVAC_WIDEBAND:
-        return 4.0 * n2 * f.f_alpha * f.f_r
+        return n2 * (4.0 * f.f_alpha * f.f_r)
     if pmc is PmcSet.PMC2:
-        return 4.0 * n2 * (f.f_alpha * f.f_r + f.f_beta * f.f_z)
+        return n2 * (4.0 * (f.f_alpha * f.f_r + f.f_beta * f.f_z))
     if pmc is PmcSet.PMC3:
         num = f.f_alpha * f.f_beta * (f.f_r + f.f_z) ** 2
         den = 0.5 * f.f_r ** 2 + 0.5 * f.f_z ** 2 + f.f_alpha * f.f_z + f.f_beta * f.f_r
         corr = 0.0 if num == 0.0 else num / den
-        return 4.0 * n2 * (f.f_alpha * f.f_r + f.f_beta * f.f_z + f.f_r * f.f_z - corr)
+        return n2 * (4.0 * (f.f_alpha * f.f_r + f.f_beta * f.f_z + f.f_r * f.f_z - corr))
     raise ValueError(f"unknown PMC family {pmc!r}")
 
 

@@ -36,6 +36,9 @@ class Coherent:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.magnitude) and math.isfinite(self.phase)):
+            raise ValueError(f"coherent amplitude must be finite, got {self.magnitude!r} "
+                             f"at phase {self.phase!r}")
         if self.magnitude < 0.0:
             raise ValueError("coherent magnitude must be >= 0")
         phase = 0.0 if self.magnitude == 0.0 else canonical_angle(self.phase)
@@ -54,6 +57,9 @@ class Squeeze:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.factor) and math.isfinite(self.phase)):
+            raise ValueError(f"squeeze parameter must be finite, got {self.factor!r} "
+                             f"at phase {self.phase!r}")
         if self.factor < 0.0:
             raise ValueError("squeeze factor must be >= 0")
         phase = 0.0 if self.factor == 0.0 else canonical_angle(self.phase)

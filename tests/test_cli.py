@@ -9,8 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzgauss.cli import fmt, main, parse_angle
-from mzgauss.fisher import qfi_closed_form
+from mzgauss import detection
+from mzgauss._minimize import golden_minimize
+from mzgauss.cli import _normalized, build_scenario, fmt, load_config, main, parse_angle
+from mzgauss.detection import (DifferenceIntensity, Homodyne, SingleModeIntensity,
+                               optimal_working_point, sensitivities, sensitivity)
+from mzgauss.errors import FlatObjective
+from mzgauss.fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
 from mzgauss.pmc import PmcSet, classify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -246,6 +251,8 @@ def test_verify_small_off_diagonal_fisher_element_passes(tmp_path, capsys):
     (["qfi", "--set", "port1.alpha.magnitude=1", "--set", "shots=0"], 2),
     (["qfi", "--set", "port1.zeta.factor=400"], 3),
     (["qfi", "--set", "port1.alpha.magnitude=1e200"], 3),
+    (["verify", "--samples", "1", "--phases", "1", "--n-max", "0"], 2),
+    (["verify", "--samples", "1", "--phases", "1", "--n-max", "1"], 2),
 ])
 def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
     assert main(argv) == code
@@ -298,3 +305,174 @@ def test_verify_runs_without_scipy():
     header, rows = _rows(proc.stdout)
     assert len(rows) == 6 * 2 + 3
     assert all(row[header.index("pass")] == "1" for row in rows)
+
+
+def test_heisenberg_pmc3_divides_before_it_overflows(capsys):
+    """The reduced PMC3 numerator overflows at N = 1e78, its quotient (about 4.2e155) does not."""
+    code = main(["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4",
+                 "--n-tot", "1e78"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    header, rows = _rows(captured.out)
+    record = {key: float(value) for key, value in zip(header, rows[0])}
+    assert math.isfinite(record["exact_qfi"])
+    assert record["exact_ratio"] == pytest.approx(5.0 / 12.0, rel=1e-12)
+    assert record["asymptotic_ratio"] == pytest.approx(5.0 / 12.0, rel=1e-12)
+
+
+# --- sweeps against the scalar closed forms -------------------------------------
+
+FAMILIES = ("pmc1", "pmc2", "pmc3", "sqzvac_optimal", "sqzvac_wideband")
+SCHEMES = (DifferenceIntensity(), SingleModeIntensity(), Homodyne())
+
+
+def _drawn_sets(rng, family, amplitudes, convention, **extra):
+    """--set overrides of a scenario drawn like the benchmark's requests."""
+    alpha, beta = 10.0 ** rng.uniform(*np.log10(amplitudes), 2)
+    sets = {"pmc": family, "port1.alpha.magnitude": alpha,
+            "port0.beta.magnitude": 0.0 if family.startswith("sqzvac") else beta,
+            "port0.xi.factor": rng.uniform(0.0, 2.3), "port1.zeta.factor": rng.uniform(0.0, 2.3),
+            "port1.alpha.phase": rng.uniform(0.0, 2 * math.pi), "convention": convention, **extra}
+    return [f"{key}={float(value)!r}" if not isinstance(value, str) else f"{key}={value}"
+            for key, value in sets.items()]
+
+
+def _argv(axis, start, stop, steps, sets):
+    return ["sweep", "--axis", axis, "--start", start, "--stop", stop, "--steps", str(steps),
+            *(arg for item in sets for arg in ("--set", item))]
+
+
+def _bound(scenario):
+    value = qfi(fisher_matrix(scenario))
+    return qcrb(value) if value > 0 else math.inf
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_phase_and_efficiency_sweeps_equal_scalar_sensitivity(seed, capsys):
+    """Every row of a vectorized phi or eta sweep prints fmt() of the scalar sensitivity."""
+    rng = np.random.default_rng(seed)
+    convention = ("symmetric", "cube")[seed % 2]
+    for axis, key in (("phi", "phase"), ("eta", "efficiency")):
+        family = FAMILIES[(seed + len(key)) % len(FAMILIES)]
+        if axis == "phi":
+            lossy = {"efficiency": rng.uniform(0.5, 0.99)} if seed % 4 >= 2 else {}
+            sets = _drawn_sets(rng, family, (1e-2, 1e5), convention, **lossy)
+            start, stop = "0", "2*pi"
+        else:
+            sets = _drawn_sets(rng, family, (1e-2, 1e5), convention,
+                               phase=rng.uniform(0.0, 2 * math.pi))
+            start, stop = repr(rng.uniform(0.3, 0.7)), "1"
+        assert main(_argv(axis, start, stop, 33, sets)) == 0
+        _, rows = _rows(capsys.readouterr().out)
+
+        cfg = load_config(None, sets)
+        expected = []
+        for value in np.linspace(parse_angle(start), parse_angle(stop), 33):
+            at = dict(cfg, **{key: float(value)})
+            scenario = build_scenario(at, _normalized(at))
+            expected.append([fmt(value)]
+                            + [fmt(sensitivity(scheme, scenario).delta_phi) for scheme in SCHEMES]
+                            + [fmt(_bound(scenario))])
+        assert rows == expected, (axis, sets)
+
+
+def _scan_reference(scheme, scenario, points=4000):
+    """Independent optimum: a dense phase scan plus a golden refinement of its best point."""
+    phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
+    k = int(np.argmin(sensitivities(scheme, scenario, phis)))
+    step = 2 * math.pi / points
+    return golden_minimize(lambda p: sensitivity(scheme, scenario.with_phase(p)).delta_phi,
+                           phis[k] - step, phis[k] + step, tol=1e-12)[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_amplitude_sweep_optima_match_scan_reference(seed, capsys):
+    """Batched working points: each row is the one-row optimum and matches a dense scan."""
+    rng = np.random.default_rng(100 + seed)
+    family = FAMILIES[seed % len(FAMILIES)]
+    axis = "beta" if seed % 2 and not family.startswith("sqzvac") else "alpha"
+    lossy = {"efficiency": rng.uniform(0.5, 0.99)} if seed % 3 else {}
+    sets = _drawn_sets(rng, family, (0.05, 1e3), ("symmetric", "cube")[seed % 2], **lossy)
+    start, stop = sorted(float(x) for x in 10.0 ** rng.uniform(np.log10(0.05), 3.0, 2))
+    assert main(_argv(axis, repr(start), repr(stop), 9, sets)) == 0
+    _, rows = _rows(capsys.readouterr().out)
+
+    cfg = load_config(None, sets)
+    key = "port1.alpha.magnitude" if axis == "alpha" else "port0.beta.magnitude"
+    for row, value in zip(rows, np.linspace(start, stop, 9)):
+        at = dict(cfg, **{key: float(value)})
+        scenario = build_scenario(at, _normalized(at))
+        for cell, scheme in zip(row[1:4], SCHEMES):
+            point = optimal_working_point(scheme, scenario)
+            assert cell == fmt(point.delta_phi)
+            reference = _scan_reference(scheme, scenario)
+            assert abs(point.delta_phi - reference) <= 1e-12 * reference, (scheme, value)
+
+
+def test_near_coherent_amplitude_sweeps_stay_above_the_qcrb(capsys):
+    """No printed df or sg optimum of a near-coherent sweep beats the QCRB.
+
+    With squeezing <= 0.05, a third of it exactly 0, the sg optimum sits next
+    to a dark fringe, where the variance written out cancels to rounding
+    noise.  Seeded like the amplitude sweeps of the benchmark; 1e-9 is the
+    relative precision of the printed 12 digits.
+    """
+    rng = np.random.default_rng(5)
+    families = ("pmc1", "pmc2", "pmc3", "sqzvac_optimal", "sqzvac_wideband", None)
+    for _ in range(150):
+        family = families[rng.integers(len(families))]
+        axis = ("alpha", "beta")[rng.integers(2)]
+        r, z = (rng.choice([0.0, 1e-3, rng.uniform(0.0, 0.05)]) for _ in range(2))
+        sets = {"port1.alpha.magnitude": 10 ** rng.uniform(-3, 3),
+                "port0.beta.magnitude": 10 ** rng.uniform(-3, 3),
+                "port0.xi.factor": r, "port1.zeta.factor": z,
+                "port1.alpha.phase": rng.uniform(0, 7), "port0.beta.phase": rng.uniform(0, 7),
+                "convention": ("symmetric", "cube")[rng.integers(2)],
+                "efficiency": rng.choice([1.0, rng.uniform(0.3, 1.0)])}
+        if family:
+            sets["pmc"] = family
+        argv = _argv(axis, repr(10 ** rng.uniform(-3, 1)), repr(10 ** rng.uniform(1, 3)), 5,
+                     [f"{key}={value}" for key, value in sets.items()])
+        assert main(argv) == 0, argv
+        _, rows = _rows(capsys.readouterr().out)
+        for row in rows:
+            df, sg, _, bound = (float(cell) for cell in row[1:])
+            assert min(df, sg) >= bound * (1.0 - 1e-9), (argv, row)
+
+
+def test_flat_rows_of_an_amplitude_sweep_print_inf(capsys):
+    """Two equal squeezed vacua have no working point; displacing port 1 gives one."""
+    sets = ["port1.zeta.factor=0.5", "port0.xi.factor=0.5"]
+    assert main(_argv("alpha", "0", "1", 3, sets)) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert rows[0][1:4] == ["inf", "inf", "inf"]
+    cfg = load_config(None, sets)
+    flat = build_scenario(cfg, _normalized(cfg))
+    for scheme in SCHEMES:
+        with pytest.raises(FlatObjective):
+            optimal_working_point(scheme, flat)
+    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row[1:4])
+
+
+def test_sweep_kernel_calls_do_not_grow_with_steps(monkeypatch, capsys):
+    """One kernel pass per scheme and sweep, whatever the number of rows."""
+    calls = []
+    kernel = detection._kernel
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(detection, "_kernel", counted)
+    sets = ["pmc=pmc2", "port1.alpha.magnitude=30", "port0.beta.magnitude=20",
+            "port0.xi.factor=1.1", "port1.zeta.factor=0.7", "efficiency=0.8"]
+
+    def count(axis, steps):
+        calls.clear()
+        assert main(_argv(axis, "0.5", "1" if axis == "eta" else "2", steps, sets)) == 0
+        capsys.readouterr()
+        return len(calls)
+
+    assert count("phi", 64) == count("phi", 2) == len(SCHEMES)
+    assert count("eta", 64) == count("eta", 2) == len(SCHEMES)
+    assert count("alpha", 9) == count("alpha", 2) == count("beta", 17)

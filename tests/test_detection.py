@@ -1,5 +1,6 @@
 """Detection-scheme means, variances, sensitivities and working points."""
 
+import cmath
 import math
 
 import mpmath
@@ -8,15 +9,16 @@ import pytest
 
 from mzgauss._minimize import golden_minimize
 from mzgauss.detection import (DifferenceIntensity, Homodyne,
-                               SingleModeIntensity, observable_mean,
-                               observable_variance, optimal_working_point,
-                               sensitivity)
+                               SingleModeIntensity, effective_moments, observable_mean,
+                               observable_stats, observable_variance,
+                               optimal_working_point, sensitivities,
+                               sensitivity, working_points)
 from mzgauss.errors import FlatObjective
 from mzgauss.fisher import fisher_matrix, qcrb, qfi
 from mzgauss.interferometer import BsConvention, MziScenario
 from mzgauss.oracle import evolve, measure_stats, prepare
 from mzgauss.pmc import PmcSet, apply_pmc
-from mzgauss.states import GaussianPort, port_moments
+from mzgauss.states import GaussianPort, pair_terms, port_moments
 
 from conftest import relerr
 
@@ -225,7 +227,11 @@ def test_pmc2_homodyne_reaches_its_closed_optimum():
 
 
 def test_working_points_beat_dense_phase_sampling(rng):
-    """The optimum is never worse than 10^4 uniformly sampled phases, lossy or not."""
+    """The optimum is never worse than 10^4 uniformly sampled phases, lossy or not.
+
+    The samples come from the array view ``sensitivities``, which the next
+    test holds equal to the scalar ``sensitivity``.
+    """
     phis = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
     for efficiency in (1.0, 0.6):
         for _ in range(3):
@@ -236,8 +242,193 @@ def test_working_points_beat_dense_phase_sampling(rng):
             sc = MziScenario(port1, port0, efficiency=efficiency)
             for scheme in ALL_SCHEMES:
                 best = optimal_working_point(scheme, sc).delta_phi
-                sampled = min(sensitivity(scheme, sc.with_phase(p)).delta_phi for p in phis)
+                sampled = sensitivities(scheme, sc, phis).min()
                 assert best <= sampled * (1.0 + 1e-12)
+
+
+def test_array_views_equal_scalar_views(rng):
+    """Every entry of the phase-array functions is the scalar function at that phase."""
+    phis = rng.uniform(-1.0, 7.0, 40)
+    for convention in BsConvention:
+        port1 = GaussianPort.from_params(1.3, 0.5, 0.4, 2.0)
+        port0 = GaussianPort.from_params(0.4, 1.8, 0.7, 0.9)
+        base = MziScenario(port1, port0, convention, efficiency=0.8)
+        for scheme in ALL_SCHEMES:
+            means, variances = observable_stats(scheme, base, phis)
+            values = sensitivities(scheme, base, phis)
+            for k, phi in enumerate(phis):
+                sc = base.with_phase(float(phi))
+                assert means[k] == observable_mean(scheme, sc)
+                assert variances[k] == observable_variance(scheme, sc)
+                assert values[k] == sensitivity(scheme, sc).delta_phi
+            etas = np.linspace(0.3, 1.0, 8)
+            for eta, value in zip(etas, sensitivities(scheme, base, 1.1, etas)):
+                assert value == sensitivity(scheme, base.with_phase(1.1).with_efficiency(eta)).delta_phi
+
+
+def _per_phase_reference(scheme, scenario):
+    """(mean, variance, |slope|) at the scenario phase, one phase at a time in math.
+
+    The scalar closed forms the array kernel replaced, in their operation order;
+    the single-mode mean and variance are the expanded forms, written out term
+    by term, that the kernel now takes from the port-4 amplitude.
+    """
+    p0, p1 = effective_moments(scenario)
+    phi, half = scenario.phase, 0.5 * scenario.phase
+    excess = (1.0 - scenario.efficiency) / scenario.efficiency
+    re01 = (p0.mean_a * p1.mean_a.conjugate()).real
+    base, cross = pair_terms(p0, p1)
+    nd_slope = abs(math.sin(phi) * (p0.mean_n - p1.mean_n) - 2.0 * math.cos(phi) * re01)
+    if isinstance(scheme, DifferenceIntensity):
+        corr = (p0.corr_na.conjugate() * p1.mean_a - p0.mean_a * p1.corr_na.conjugate()).real
+        mean = math.cos(phi) * (p1.mean_n - p0.mean_n) - 2.0 * math.sin(phi) * re01
+        var = (math.cos(phi) ** 2 * (p0.var_n + p1.var_n) + math.sin(phi) ** 2 * (base + 2.0 * cross)
+               + 2.0 * math.sin(2.0 * phi) * corr + excess * (p0.mean_n + p1.mean_n))
+        return mean, max(var, 0.0), nd_slope
+    if isinstance(scheme, SingleModeIntensity):
+        s = math.sin(phi)
+        mean = math.sin(half) ** 2 * p0.mean_n + math.cos(half) ** 2 * p1.mean_n - s * re01
+        var = (math.sin(half) ** 4 * p0.var_n + math.cos(half) ** 4 * p1.var_n
+               + 0.25 * s ** 2 * base + 0.5 * s ** 2 * cross - s * re01
+               - 2.0 * math.sin(half) ** 2 * s * (p0.corr_na.conjugate() * p1.mean_a).real
+               - 2.0 * math.cos(half) ** 2 * s * (p0.mean_a * p1.corr_na.conjugate()).real)
+        return mean, max(var + excess * mean, 0.0), 0.5 * nd_slope
+    phi_l = scenario.port1.displacement.phase if scheme.local_phase is None else scheme.local_phase
+    rot = cmath.exp(-1j * phi_l)
+    x0, x1 = (rot * p0.mean_a).real, (rot * p1.mean_a).real
+    q0, q1 = (0.25 / (1.0 + 2.0 * (p.dn + abs(p.dm)))
+              + abs(p.dm) * math.sin(0.5 * cmath.phase(-p.dm) - phi_l) ** 2 for p in (p0, p1))
+    var = math.sin(half) ** 2 * q0 + math.cos(half) ** 2 * q1 + 0.25 * excess
+    return (-math.sin(half) * x0 + math.cos(half) * x1, var,
+            0.5 * abs(math.cos(half) * x0 + math.sin(half) * x1))
+
+
+def test_kernel_matches_per_phase_reference(rng):
+    """The array kernel agrees with the per-phase scalar closed forms to a few ulp."""
+    for _ in range(40):
+        port1 = GaussianPort.from_params(rng.uniform(0, 3), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
+        port0 = GaussianPort.from_params(rng.uniform(0, 3), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
+        base = MziScenario(port1, port0, rng.choice(list(BsConvention)),
+                           efficiency=rng.choice([1.0, rng.uniform(0.5, 0.99)]))
+        phis = rng.uniform(0, 2 * math.pi, 8)
+        for scheme in ALL_SCHEMES + (Homodyne(local_phase=rng.uniform(0, 2 * math.pi)),):
+            means, variances = observable_stats(scheme, base, phis)
+            values = sensitivities(scheme, base, phis)
+            for k, phi in enumerate(phis):
+                mean, var, slope = _per_phase_reference(scheme, base.with_phase(float(phi)))
+                scale = max(abs(mean), var, 1.0)  # the powers round apart by an ulp or so
+                assert abs(means[k] - mean) <= 2e-15 * scale
+                assert abs(variances[k] - var) <= 2e-15 * scale
+                assert values[k] == pytest.approx(math.sqrt(var) / slope, rel=1e-13)
+
+
+def test_batched_working_points_equal_one_row_optima():
+    """Each row of a batch is the one-row optimum; the mirror-image sg tie keeps the lower phase."""
+    mirror = _sqzvac_scenario(1.0, 0.5, 0.4)
+    general = MziScenario(*apply_pmc(PmcSet.PMC2, 0.4, 1.3, 0.8, 0.6, 0.35), efficiency=0.7)
+    flat = MziScenario(GaussianPort.from_params(0.0, 0.0, 0.5, 0.0),
+                       GaussianPort.from_params(0.0, 0.0, 0.5, 0.0), phase=0.3)
+    scenarios = [general, mirror, flat, _sqzvac_scenario(30.0, 1.2, 0.8, wideband=True)]
+    for scheme in ALL_SCHEMES:
+        phases, values = working_points(scheme, scenarios)
+        for k, sc in enumerate(scenarios):
+            if sc is flat:
+                assert (phases[k], values[k]) == (0.3, math.inf)
+                continue
+            point = optimal_working_point(scheme, sc)
+            assert (phases[k], values[k]) == (point.phase, point.delta_phi)
+    phases, values = working_points(SingleModeIntensity(), scenarios)
+    assert abs(phases[1] - 1.8981404501349168) < 1e-9
+    twin = sensitivity(SingleModeIntensity(), mirror.with_phase(2 * math.pi - phases[1]))
+    assert twin.delta_phi == pytest.approx(values[1], rel=1e-12)
+
+
+def test_cancelled_variance_never_wins_a_working_point():
+    """Two coherent inputs: the sg optimum sits on the dark fringe, a 0/0 limit.
+
+    Written out, the variance there cancels to rounding noise (and to 0); the
+    optimum must still match a 60-digit minimization of the same closed form.
+    """
+    ports = apply_pmc(PmcSet.SQZVAC_WIDEBAND, 0.9101856971267421, 0.17510958801731716,
+                      0.0018118040317442405, 0.0, 0.0, BsConvention.CUBE)
+    sc = MziScenario(*ports, BsConvention.CUBE, efficiency=0.7483466515062236)
+    point = optimal_working_point(SingleModeIntensity(), sc)
+    assert relerr(point.delta_phi, 6.60108642260641, floor=0.0) < 1e-10
+
+
+def _mp_single_mode(scenario):
+    """Delta phi(phi) of the single-mode scheme: the expanded closed form in 60 digits.
+
+    The port moments are rebuilt in mpmath from <a>, dn and dm, so the
+    cancellation next to a dark fringe leaves 40 digits.
+    """
+    mp = mpmath.mp
+    ports = []
+    for p in effective_moments(scenario):
+        a, dn, dm = mpmath.mpc(p.mean_a), mpmath.mpf(p.dn), mpmath.mpc(p.dm)
+        size = abs(a) ** 2
+        ports.append({"a": a, "n": size + dn, "dn": dn, "dm": dm, "corr": a * dn + mp.conj(a) * dm,
+                      "var": dn ** 2 + dn + abs(dm) ** 2 + size * (2 * dn + 1)
+                      + 2 * mp.re(mp.conj(a) ** 2 * dm)})
+    p0, p1 = ports
+    excess = (1 - mpmath.mpf(scenario.efficiency)) / mpmath.mpf(scenario.efficiency)
+    re01 = mp.re(p0["a"] * mp.conj(p1["a"]))
+    base = p0["n"] + p1["n"] + 2 * (abs(p0["a"]) ** 2 * p1["dn"] + p0["dn"] * abs(p1["a"]) ** 2
+                                    + p0["dn"] * p1["dn"])
+    cross = mp.re(p0["a"] ** 2 * mp.conj(p1["dm"]) + p0["dm"] * mp.conj(p1["a"]) ** 2
+                  + p0["dm"] * mp.conj(p1["dm"]))
+    corr0, corr1 = mp.re(mp.conj(p0["corr"]) * p1["a"]), mp.re(p0["a"] * mp.conj(p1["corr"]))
+
+    def value(phi):
+        s, c, sin = mpmath.sin(phi / 2), mpmath.cos(phi / 2), mpmath.sin(phi)
+        mean = s ** 2 * p0["n"] + c ** 2 * p1["n"] - sin * re01
+        var = (s ** 4 * p0["var"] + c ** 4 * p1["var"] + sin ** 2 * base / 4 + sin ** 2 * cross / 2
+               - sin * re01 - 2 * s ** 2 * sin * corr0 - 2 * c ** 2 * sin * corr1 + excess * mean)
+        slope = abs(sin * (p0["n"] - p1["n"]) - 2 * mpmath.cos(phi) * re01) / 2
+        return mpmath.sqrt(var) / slope
+    return value
+
+
+def _mp_minimum(f, center, half):
+    """Golden-section minimum of f on center +- half, to about 1e-20 rad."""
+    a, b = mpmath.mpf(center) - half, mpmath.mpf(center) + half
+    g = (mpmath.sqrt(5) - 1) / 2
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(85):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return min(fc, fd)
+
+
+def test_near_coherent_single_mode_optima_match_60_digits(rng):
+    """Near-coherent inputs put the sg optimum next to a dark fringe.
+
+    The PMC families fix the relative phase of the two displacements, so the
+    fringe goes fully dark.  Over seeded draws with squeezing <= 0.05, half of
+    the squeeze factors exactly 0, the optimum matches a 60-digit golden
+    minimization of the expanded closed form to 1e-9 on either side.
+    """
+    families = (PmcSet.PMC1, PmcSet.PMC2, PmcSet.SQZVAC_WIDEBAND)
+    with mpmath.workdps(60):
+        for _ in range(60):
+            convention = rng.choice(list(BsConvention))
+            r, z = (rng.choice([0.0, 0.0, 1e-3, rng.uniform(0, 0.05)]) for _ in range(2))
+            ports = apply_pmc(families[rng.integers(3)], rng.uniform(0, 2 * math.pi),
+                              10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3), r, z, convention)
+            sc = MziScenario(*ports, convention, efficiency=rng.choice([1.0, rng.uniform(0.3, 1.0)]))
+            point = optimal_working_point(SingleModeIntensity(), sc)
+            f = _mp_single_mode(sc)
+            reference = min(_mp_minimum(f, point.phase, half) for half in (1e-7, 1e-5, 1e-3))
+            assert abs(point.delta_phi - reference) <= 1e-9 * reference, sc
 
 
 def test_single_mode_optimum_finds_the_deeper_basin():

@@ -94,3 +94,13 @@ def test_optima_descriptions():
     assert len(heisenberg_optima(PmcSet.PMC2).manifolds) == 2
     assert heisenberg_optima(PmcSet.PMC3).manifolds[0]["f_r"] == 0.5
     assert heisenberg_optima(PmcSet.PMC3).peak_ratio == 1.0
+
+
+@pytest.mark.parametrize("fractions", [
+    (float("nan"), 0.0, 0.5, 0.5, 10.0),
+    (0.25, 0.25, 0.25, 0.25, float("inf")),
+    (0.25, 0.25, 0.25, 0.25, float("nan")),
+])
+def test_non_finite_fractions_rejected(fractions):
+    with pytest.raises(ValueError):
+        PowerFractions(*fractions)

@@ -101,3 +101,16 @@ def test_negative_magnitude_rejected():
         Coherent(-1.0)
     with pytest.raises(ValueError):
         Squeeze(-0.1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Coherent(float("nan")),
+    lambda: Coherent(float("inf")),
+    lambda: Coherent(1.0, float("nan")),
+    lambda: Squeeze(float("inf")),
+    lambda: Squeeze(float("nan")),
+    lambda: Squeeze(0.5, float("-inf")),
+])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
