@@ -166,6 +166,10 @@ def _normalized(cfg: dict) -> dict:
 
 def build_scenario(cfg: dict, n: dict) -> MziScenario:
     """The scenario of a config, read from ``n``, its :func:`_normalized` view."""
+    for key in ("port1.alpha.magnitude", "port1.zeta.factor", "port0.beta.magnitude",
+                "port0.xi.factor"):  # which the port constructors refuse with a ValueError
+        if n[key] < 0.0:
+            raise ConfigError(f"field {key}: expected a finite number >= 0, got {fmt(n[key])}")
     try:
         convention = BsConvention(n["convention"])
     except ValueError:

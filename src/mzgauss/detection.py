@@ -2,10 +2,13 @@
 
 Three realistic read-outs of the interferometer are modeled: the photocurrent
 difference between both output ports, the intensity of output port 4 alone,
-and balanced homodyne detection of the port-4 quadrature.  Every quantity is
-computed from the two ports' moments by one kernel over arrays of phases (and
-of stacked scenarios); the scalar functions are its one-element views.  The
-cube beam-splitter convention enters as a phase rotation of port 0.
+and balanced homodyne detection of the port-4 quadrature.  One kernel gives
+every quantity over arrays of phases (and of stacked scenarios); the scalar
+functions are its one-element views.  Both photon counts are combinations x of
+N, Jx and Jz: their variance is |F x|^2 over the scenario's Gram factor F
+(:func:`states.number_factor`) and their slope comes from the means of the
+four.  Homodyne reads each port's noise from :func:`states.quadrature_noise`.
+The cube beam-splitter convention enters as a phase rotation of port 0.
 
 Detector efficiency eta < 1 is the standard fictitious beam splitter of
 transmission sqrt(eta) in front of each ideal detector.  Referred to the ideal
@@ -28,8 +31,8 @@ from typing import Union
 import numpy as np
 
 from .errors import FlatObjective
-from .interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
-from .states import TWO_PI, PortMoments, pair_terms
+from .interferometer import MziScenario
+from .states import TWO_PI, quadrature_noise
 
 
 @dataclass(frozen=True)
@@ -70,51 +73,29 @@ class SensitivityPoint:
     delta_phi: float  # +inf marks an undefined sensitivity at this phase
 
     def __post_init__(self):
-        if not (self.delta_phi > 0.0 or math.isinf(self.delta_phi)):
-            raise ValueError(f"delta_phi must be positive or +inf, got {self.delta_phi}")
-
-
-def effective_moments(scenario: MziScenario) -> tuple[PortMoments, PortMoments]:
-    """(port0, port1) moments with the cube convention folded into port 0."""
-    p0 = scenario.port0.moments
-    p1 = scenario.port1.moments
-    if scenario.convention is BsConvention.CUBE:
-        p0 = p0.rotated(CUBE_PORT0_ROTATION)
-    return p0, p1
+        _check_positive(np.array([self.delta_phi]))
 
 
 def _terms(scheme: DetectionScheme, scenario: MziScenario) -> tuple:
     """The phase-independent constants of a scheme's mean, variance and slope."""
-    p0, p1 = effective_moments(scenario)
     if isinstance(scheme, Homodyne):
+        p0, p1 = scenario.folded_moments
         phi_l = scheme.local_phase
         if phi_l is None:
             phi_l = scenario.port1.displacement.phase
         rot = cmath.exp(-1j * phi_l)
-        # Quadrature variance of each port at angle phi_l (vacuum gives 1/4).  With
-        # psi = arg(-dm) - 2 phi_l the angle between the squeezing and the local
-        # oscillator it is (e^{-2s} cos^2(psi/2) + e^{2s} sin^2(psi/2))/4
-        # = e^{-2s}/4 + |dm| sin^2(psi/2), and e^{2s} = 1 + 2 dn + 2 |dm|.  Taking
-        # e^{-2s} as the reciprocal of that sum subtracts nothing, so the squeezed
-        # quadrature keeps its digits at any squeeze factor.
-        q0, q1 = (0.25 / (1.0 + 2.0 * (p.dn + abs(p.dm)))
-                  + abs(p.dm) * math.sin(0.5 * cmath.phase(-p.dm) - phi_l) ** 2
-                  for p in (p0, p1))
+        # a port's quadrature variance at angle phi_l is a quarter of its noise along e^{i phi_l}
+        q0, q1 = (0.25 * (root * root + (axis * rot.conjugate()).imag ** 2)
+                  for root, axis in map(quadrature_noise, (p0, p1)))
         return (rot * p0.mean_a).real, (rot * p1.mean_a).real, q0, q1
-    re01 = (p0.mean_a * p1.mean_a.conjugate()).real
+    columns, (total, jx, _, jz) = scenario.factor
     if isinstance(scheme, DifferenceIntensity):
-        base, cross = pair_terms(p0, p1)
-        corr = (p0.corr_na.conjugate() * p1.mean_a - p0.mean_a * p1.corr_na.conjugate()).real
-        return (p0.mean_n - p1.mean_n, re01, p0.var_n + p1.var_n, base + 2.0 * cross, corr,
-                p0.mean_n + p1.mean_n)
-    # e^{-2s} = 1/(1 + 2 dn + 2|dm|) and the squeezing axis e^{-i arg(-dm)/2}, scaled
-    # by 2 sqrt|dm|, of each port: a port's quadrature noise along an amplitude u,
-    # (2 dn + 1)|u|^2 + 2 Re(u*^2 dm), is then e^{-2s}|u|^2 + Im(axis u)^2
-    shrink0, shrink1 = (1.0 / (1.0 + 2.0 * (p.dn + abs(p.dm))) for p in (p0, p1))
-    axis0, axis1 = (2.0 * math.sqrt(abs(p.dm)) * cmath.exp(-0.5j * cmath.phase(-p.dm))
-                    for p in (p0, p1))
-    return (p0.mean_n - p1.mean_n, re01, p0.mean_a, p1.mean_a, p0.dn, p1.dn, p0.dm, p1.dm,
-            shrink0, shrink1, axis0, axis1)
+        # n5 - n4 = cos(phi) Jz + sin(phi) Jx, and n4 + n5 = N is conserved
+        return columns[0], columns[3], columns[1], jz, jx, total
+    # -2 n4 = cos(phi) Jz + sin(phi) Jx - N; the mean comes from the port-4 amplitude
+    p0, p1 = scenario.folded_moments
+    return (columns[0], columns[3], columns[1], 0.5 * jz, 0.5 * jx,
+            p0.mean_a, p1.mean_a, p0.dn, p1.dn)
 
 
 def _excess(efficiency):
@@ -123,57 +104,55 @@ def _excess(efficiency):
 
 
 def _kernel(scheme: DetectionScheme, terms, phi, excess):
-    """Mean, variance with detector loss (clamped at 0) and |d<A>/dphi| at the phases ``phi``.
+    """Mean, variance with detector loss and |d<A>/dphi| at the phases ``phi``.
 
-    ``terms`` are the constants of :func:`_terms`, as floats or as ``(rows, 1)``
-    arrays of stacked scenarios; they broadcast against ``phi`` and ``excess``.
-    The mean and the variance are those of the ideal observable; the slope of
-    the mean scales out of Delta phi, so loss only adds to the variance.
+    ``terms`` are the constants of :func:`_terms`, as floats (vectors of the
+    Gram factor) or stacked as ``(rows, 1)`` (``(rows, 1, 11)``); they broadcast
+    against ``phi`` and ``excess``.  Mean and variance are those of the ideal
+    observable; the slope scales out of Delta phi, so loss only adds variance.
     """
-    if isinstance(scheme, DifferenceIntensity):
-        split, re01, var_sum, pair, corr, total = terms
-        cos, sin = np.cos(phi), np.sin(phi)
-        mean = -(cos * split) - 2.0 * sin * re01
-        slope = np.abs(sin * split - 2.0 * cos * re01)
-        # n4 + n5 equals the conserved total input photon number
-        var = (cos ** 2 * var_sum + sin ** 2 * pair + 2.0 * np.sin(2.0 * phi) * corr
-               + excess * total)
-    elif isinstance(scheme, SingleModeIntensity):
-        split, re01, mean0, mean1, dn0, dn1, dm0, dm1, shrink0, shrink1, axis0, axis1 = terms
-        half = 0.5 * phi
-        sin_half, cos_half = np.sin(half), np.cos(half)
-        sin2_half, cos2_half = sin_half ** 2, cos_half ** 2
-        # Port 4 is the Gaussian mode cos(phi/2) a1 - sin(phi/2) a0, with amplitude u
-        # and centred moments dn, dm: Var n4 = dn^2 + dn + |dm|^2 + (2 dn + 1)|u|^2
-        # + 2 Re(u*^2 dm).  The last two terms split into each port's quadrature
-        # noise along u, weighted sin^2(phi/2) and cos^2(phi/2), so no term is
-        # negative.  Taking u itself, not |u|^2 written out, keeps the digits next
-        # to a dark fringe, where the terms of |u|^2 cancel.
-        u = cos_half * mean1 - sin_half * mean0
-        dn = sin2_half * dn0 + cos2_half * dn1
-        dm = sin2_half * dm0 + cos2_half * dm1
-        u_re, u_im = u.real, u.imag
-        size = u_re ** 2 + u_im ** 2
-        mean = size + dn
-        slope = 0.5 * np.abs(np.sin(phi) * split - 2.0 * np.cos(phi) * re01)
-        var = (dn * (dn + 1.0) + dm.real ** 2 + dm.imag ** 2
-               + sin2_half * (shrink0 * size + (axis0.real * u_im + axis0.imag * u_re) ** 2)
-               + cos2_half * (shrink1 * size + (axis1.real * u_im + axis1.imag * u_re) ** 2)
-               + excess * mean)
-    else:
+    if isinstance(scheme, Homodyne):
         quad0, quad1, qvar0, qvar1 = terms
         half = 0.5 * phi
         sin_half, cos_half = np.sin(half), np.cos(half)
         mean = -sin_half * quad0 + cos_half * quad1
         slope = 0.5 * np.abs(cos_half * quad0 + sin_half * quad1)
-        var = sin_half ** 2 * qvar0 + cos_half ** 2 * qvar1 + 0.25 * excess
-    return mean, np.maximum(var, 0.0), slope
+        var = sin_half ** 2 * qvar0 + cos_half ** 2 * qvar1
+        return mean, var + 0.25 * excess, slope
+    # each count is +-(cos(phi) Jz + sin(phi) Jx - c N) / w over (N, Jx, Jy, Jz), with
+    # variance |F (.)|^2 / w^2, a sum of squares, and a slope read from the means <J>
+    along_n, along_z, along_x, split, cross, *rest = terms
+    cos, sin = np.cos(phi), np.sin(phi)
+    rows = cos[..., None] * along_z + sin[..., None] * along_x
+    slope = np.abs(sin * split - cos * cross)
+    if isinstance(scheme, DifferenceIntensity):
+        mean = -(cos * split) - sin * cross
+        detected, weight = rest[0], 1.0
+    else:
+        # port 4 is cos(phi/2) a1 - sin(phi/2) a0, with amplitude u: taking u itself,
+        # not |u|^2 written out, keeps the digits of the mean next to a dark fringe,
+        # where the terms of |u|^2 cancel
+        rows -= along_n
+        mean0, mean1, dn0, dn1 = rest
+        half = 0.5 * phi
+        sin_half, cos_half = np.sin(half), np.cos(half)
+        u = cos_half * mean1 - sin_half * mean0
+        mean = u.real ** 2 + u.imag ** 2 + (sin_half ** 2 * dn0 + cos_half ** 2 * dn1)
+        detected, weight = mean, 0.25
+    var = weight * np.einsum("...i,...i->...", rows, rows)
+    return mean, var + excess * detected, slope
 
 
 def _delta_phi(var, slope):
-    """sqrt(var)/slope, +inf where the slope vanishes."""
-    return np.divide(np.sqrt(var), slope, out=np.full(np.shape(var), math.inf),
-                     where=slope != 0.0)
+    """sqrt(var)/slope, +inf where the slope vanishes or the quotient rounds to 0.
+
+    A zero Delta phi would beat every quantum bound: it is a rounded 0/0, as on
+    the dark fringe of coherent inputs or where the variance underflows.
+    """
+    values = np.divide(np.sqrt(var), slope, out=np.full(np.shape(var), math.inf),
+                       where=slope != 0.0)
+    values[values == 0.0] = math.inf
+    return values
 
 
 def _check_positive(values) -> None:
@@ -221,9 +200,8 @@ def observable_variance(scheme: DetectionScheme, scenario: MziScenario) -> float
 
 def sensitivity(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
     """Delta phi = sqrt(variance) / |slope| at the scenario phase and efficiency."""
-    _, var, slope = _kernel(scheme, _terms(scheme, scenario), np.array([scenario.phase]),
-                            _excess(scenario.efficiency))
-    return SensitivityPoint(scenario.phase, float(_delta_phi(var, slope)[0]))
+    return SensitivityPoint(scenario.phase,
+                            float(sensitivities(scheme, scenario, [scenario.phase])[0]))
 
 
 # --- optimal working points ---------------------------------------------------
@@ -286,17 +264,6 @@ def _root_phases(coeffs):
     return out
 
 
-def _search_value(var, slope):
-    """Delta phi as the optimizer sees it: a variance clamped to 0 never wins.
-
-    A zero Delta phi would beat every quantum bound; it only arises on the dark
-    fringe of two coherent inputs, where u and the variance are exactly 0.
-    """
-    values = _delta_phi(var, slope)
-    values[values == 0.0] = math.inf
-    return values
-
-
 def _dark_fringe(terms, phi):
     """Where the single-mode Delta phi is a rounded 0/0, next to a dark fringe.
 
@@ -305,7 +272,7 @@ def _dark_fringe(terms, phi):
     such phases would pick out rounding noise.  ``terms`` are the
     single-mode constants of :func:`_terms`.
     """
-    _, _, mean0, mean1 = terms[:4]
+    mean0, mean1 = terms[5:7]
     half = 0.5 * phi
     cos_half, sin_half = np.cos(half), np.sin(half)
     size = np.abs(cos_half * np.abs(mean1)) + np.abs(sin_half * np.abs(mean0))
@@ -336,7 +303,7 @@ def _working_points(scheme: DetectionScheme, terms, excess):
         # a root on a dark fringe is judged just beside it, where the value keeps its digits
         candidates = np.where(_dark_fringe(terms, candidates), (candidates + _NUDGE) % TWO_PI,
                               candidates)
-    values = _search_value(*_kernel(scheme, terms, candidates, excess)[1:])
+    values = _delta_phi(*_kernel(scheme, terms, candidates, excess)[1:])
 
     # the candidates are sorted, so a later one must be lower by more than the tie margin
     best_phi, best_value = np.zeros(live.size), np.full(live.size, math.inf)
@@ -350,7 +317,7 @@ def _working_points(scheme: DetectionScheme, terms, excess):
     rows = np.arange(live.size)
     for _ in range(_LEVELS):
         trial = center[:, None] + half * _OFFSETS
-        trial_values = _search_value(*_kernel(scheme, terms, trial % TWO_PI, excess)[1:])
+        trial_values = _delta_phi(*_kernel(scheme, terms, trial % TWO_PI, excess)[1:])
         if isinstance(scheme, SingleModeIntensity):
             trial_values[_dark_fringe(terms, trial)] = math.inf
         pick = trial_values.argmin(axis=1)
@@ -397,11 +364,8 @@ def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> Sen
     digits the rounding of the port-4 amplitude eats: there a root is judged
     4e-5 rad aside, and the refinement skips such phases.
 
-    For the single-mode scheme with an undisplaced port 0 the optimum
-    reaches the asymptote exp(-r)/|alpha| only once exp(-2r)|alpha|^2
-    dominates 2 sqrt(Var n1 Var n0); below that the port-0 photon-number
-    noise keeps it well above (8.0 times at |alpha| = 1e3, r = 2.3, z = 2.2;
-    see ``SingleModeIntensity``).
+    How the single-mode optimum approaches exp(-r)/|alpha| is set out at
+    ``SingleModeIntensity`` (8.0 times above at |alpha| = 1e3, r = 2.3, z = 2.2).
     """
     phase, values, flat = _working_points(scheme, *_stacked(scheme, [scenario]))
     if flat[0]:

@@ -1,10 +1,12 @@
 """Two-parameter Fisher information, QFI and the Cramer-Rao bound.
 
-The generic path evaluates the matrix elements from the two ports' moments
-alone (the input is separable, so every cross expectation factorizes).  The
-closed-form path re-expresses the same elements through the Upsilon functions
-and the optimal phase-matching families; both must agree to 1e-10 and are
-tested against the truncated Fock oracle.
+The generic path reads the elements off the Gram factor F of the two ports'
+photon-number covariance (:func:`states.number_factor`): F_ss = Var N,
+F_dd = Var Jy and F_sd = +-Cov(N, Jy) are dot products of two columns of F,
+so the diagonal ones are sums of squares.  The closed-form path re-expresses
+the same elements through the Upsilon functions and the optimal
+phase-matching families; both must agree to 1e-10 and are tested against the
+truncated Fock oracle.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from .errors import DegenerateMatrix, NonPositiveInformation, NumericalOverflow
 from .interferometer import BsConvention, MziScenario
-from .states import pair_terms
 
-_NEG_CLAMP = 1e-9
+# sign of F_sd against Cov(N, Jy) of the folded ports: the conventions label the arms oppositely
+_SD_SIGN = {BsConvention.SYMMETRIC: -1.0, BsConvention.CUBE: 1.0}
 
 
 @dataclass(frozen=True)
@@ -29,44 +31,29 @@ class FisherMatrix:
     f_dd: float
     f_sd: float
 
-    def __post_init__(self):
-        for name in ("f_ss", "f_dd"):
-            val = getattr(self, name)
-            if val < -_NEG_CLAMP:
-                raise ValueError(f"{name} must be non-negative, got {val}")
-            if val < 0.0:
-                object.__setattr__(self, name, 0.0)
-
 
 def fisher_matrix(scenario: MziScenario) -> FisherMatrix:
-    """Fisher matrix of the scenario; the internal phase and efficiency do not enter."""
-    p0 = scenario.port0.moments
-    p1 = scenario.port1.moments
-    m0, m1 = p0.mean_a, p1.mean_a
-    c0, c1 = p0.corr_na, p1.corr_na
+    """Fisher matrix of the scenario; the internal phase and efficiency do not enter.
 
-    f_ss = p0.var_n + p1.var_n
-    base, cross = pair_terms(p0, p1)
-    mixed = m0 * np.conj(m1) + c0 * np.conj(m1) + m0 * np.conj(c1)
-
-    if scenario.convention is BsConvention.SYMMETRIC:
-        f_dd = base - 2.0 * cross
-        f_sd = 2.0 * mixed.imag
-    else:
-        f_dd = base + 2.0 * cross
-        f_sd = 2.0 * mixed.real
-    return FisherMatrix(f_ss=float(f_ss), f_dd=float(f_dd), f_sd=float(f_sd))
+    An element that overflows raises ``NumericalOverflow``.
+    """
+    columns, _ = scenario.factor
+    pair = columns[0:3:2]  # the columns of N and Jy
+    with np.errstate(over="ignore"):  # checked below
+        (f_ss, f_sd), (_, f_dd) = (pair @ pair.T).tolist()
+    f_sd = _SD_SIGN[scenario.convention] * f_sd + 0.0  # + 0.0: never -0
+    if not math.isfinite(max(f_ss, f_dd)):  # then |f_sd| <= sqrt(f_ss f_dd) is finite too
+        raise NumericalOverflow(f"the Fisher matrix overflows: f_ss = {f_ss:g}, f_dd = {f_dd:g}")
+    return FisherMatrix(f_ss=f_ss, f_dd=f_dd, f_sd=f_sd)
 
 
 def qfi(fm: FisherMatrix) -> float:
     """Difference-parameter quantum Fisher information F_dd - F_sd^2 / F_ss."""
     if fm.f_ss < 1e-12:
         if abs(fm.f_sd) >= 1e-9:
-            raise DegenerateMatrix(
-                f"f_ss ~ 0 but f_sd = {fm.f_sd}; the matrix cannot be reduced"
-            )
+            raise DegenerateMatrix(f"f_ss ~ 0 but f_sd = {fm.f_sd}; the matrix cannot be reduced")
         return fm.f_dd
-    return fm.f_dd - fm.f_sd ** 2 / fm.f_ss
+    return fm.f_dd - fm.f_sd * (fm.f_sd / fm.f_ss)  # f_sd^2 alone may overflow
 
 
 def qcrb(fisher_information: float, shots: int = 1) -> float:
@@ -75,7 +62,7 @@ def qcrb(fisher_information: float, shots: int = 1) -> float:
         raise NonPositiveInformation(f"Fisher information must be > 0, got {fisher_information}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    return 1.0 / math.sqrt(shots * fisher_information)
+    return 1.0 / (math.sqrt(shots) * math.sqrt(fisher_information))  # the product may overflow
 
 
 # --- closed forms ------------------------------------------------------------

@@ -10,13 +10,14 @@ internal phase shift phi; global output phases are dropped.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidEfficiency
-from .states import GaussianPort
+from .states import GaussianPort, PortMoments, number_factor
 
 # phase rotation applied to input port 0 that turns the cube convention into
 # the symmetric one (up to an unmeasurable phase on output port 5)
@@ -46,6 +47,19 @@ class MziScenario:
     def __post_init__(self):
         if not 0.0 < self.efficiency <= 1.0:
             raise InvalidEfficiency(f"efficiency must be in (0, 1], got {self.efficiency}")
+
+    @functools.cached_property
+    def folded_moments(self) -> tuple[PortMoments, PortMoments]:
+        """(port0, port1) moments with the cube convention folded into port 0."""
+        p0 = self.port0.moments
+        if self.convention is BsConvention.CUBE:
+            p0 = p0.rotated(CUBE_PORT0_ROTATION)
+        return p0, self.port1.moments
+
+    @functools.cached_property
+    def factor(self) -> tuple[np.ndarray, tuple]:
+        """:func:`states.number_factor` of the folded ports, computed on first use."""
+        return number_factor(*self.folded_moments)
 
     def with_phase(self, phase: float) -> "MziScenario":
         return MziScenario(self.port1, self.port0, self.convention, phase, self.efficiency)

@@ -1,8 +1,10 @@
-"""Gaussian input preparations and their single-mode moments.
+"""Gaussian input preparations, their single-mode moments and their photon-number covariance.
 
 A port is prepared by squeezing the vacuum and then displacing it,
 D(gamma) S(chi) |0>.  Every closed-form result downstream consumes only the
-moment quantities collected in :class:`PortMoments`.
+moment quantities collected in :class:`PortMoments`; the Fisher matrix and
+both photon-counting variances read the two ports' moments through the one
+Gram factor of :func:`number_factor`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericalOverflow
 
@@ -155,17 +159,43 @@ def port_moments(port: GaussianPort) -> PortMoments:
     return PortMoments(mean_a, mean_a2, mean_n, var_n, corr_na, sh2, dm)
 
 
-def pair_terms(p0: PortMoments, p1: PortMoments) -> tuple[float, float]:
-    """Cross-port combinations shared by the detection variances and the Fisher matrix.
+def quadrature_noise(p: PortMoments) -> tuple[float, complex]:
+    """(e^{-s}, axis) of a port: its quadrature noise along an amplitude u,
+    (2 dn + 1)|u|^2 + 2 Re(u*^2 dm), is the sum of squares (e^{-s}|u|)^2 + Im(axis u)^2.
 
-    base  = <n0> + <n1> + 2 (<n0><n1> - |<a0>|^2 |<a1>|^2)
-    cross = Re(<a0^2><a1^2>* - <a0>^2 <a1>*^2)
+    e^{-2s} is the reciprocal of e^{2s} = 1 + 2 dn + 2 |dm|, which subtracts
+    nothing, so the squeezed quadrature keeps its digits at any squeeze factor.
+    """
+    size = abs(p.dm)
+    root = math.sqrt(1.0 / (1.0 + 2.0 * (p.dn + size)))
+    return root, 2.0 * math.sqrt(size) * cmath.exp(-0.5j * cmath.phase(-p.dm))
 
-    both written through the centred moments, free of cancellation.
+
+def number_factor(p0: PortMoments, p1: PortMoments) -> tuple[np.ndarray, tuple]:
+    """Columns of the Gram factor F (11 x 4) and the means of N, Jx, Jy, Jz = a^dag sigma_j a.
+
+    By Wick's theorem the symmetrised Cov(O_i, O_j) = columns[i] . columns[j].
+    Rows per port: :func:`quadrature_noise` along g = sigma_j <a> (three) and
+    sqrt(Var n) on N +- Jz; of the centred pair a0^dag a1: |dn0 - dn1| /
+    (sqrt(dn0 (dn1 + 1)) + sqrt(dn1 (dn0 + 1))) on Jx and on Jy, and
+    2 sqrt(conj(dm0) dm1) across both.
     """
     a0, a1 = p0.mean_a, p1.mean_a
-    base = p0.mean_n + p1.mean_n + 2.0 * (abs(a0) ** 2 * p1.dn + p0.dn * abs(a1) ** 2
-                                          + p0.dn * p1.dn)
-    cross = (a0 * a0 * p1.dm.conjugate() + p0.dm * (a1 * a1).conjugate()
-             + p0.dm * p1.dm.conjugate()).real
-    return base, cross
+    (root0, axis0), (root1, axis1) = quadrature_noise(p0), quadrature_noise(p1)
+
+    def linear(g0, g1):  # the six rows of the quadrature noise along g = sigma_j <a>
+        return [root0 * g0.real, root0 * g0.imag, (axis0 * g0).imag,
+                root1 * g1.real, root1 * g1.imag, (axis1 * g1).imag]
+
+    v0, v1 = (math.sqrt(p.dn * (p.dn + 1.0) + abs(p.dm) ** 2) for p in (p0, p1))
+    gap = math.sqrt(p0.dn * (p1.dn + 1.0)) + math.sqrt(p1.dn * (p0.dn + 1.0))
+    gap = abs(p0.dn - p1.dn) / gap if gap else 0.0
+    pair = 2.0 * cmath.sqrt(p0.dm.conjugate() * p1.dm)
+    columns = (linear(a0, a1) + [v0, v1, 0.0, 0.0, 0.0],
+               linear(a1, a0) + [0.0, 0.0, gap, 0.0, pair.real],
+               linear(complex(a1.imag, -a1.real), complex(-a0.imag, a0.real))
+               + [0.0, 0.0, 0.0, gap, pair.imag],
+               linear(a0, -a1) + [v0, -v1, 0.0, 0.0, 0.0])
+    cross = a0.conjugate() * a1
+    means = (p0.mean_n + p1.mean_n, 2.0 * cross.real, 2.0 * cross.imag, p0.mean_n - p1.mean_n)
+    return np.array(columns), means

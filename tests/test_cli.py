@@ -1,5 +1,7 @@
 """Command-line front end: configs, CSV output, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzgauss import detection
 from mzgauss._minimize import golden_minimize
@@ -228,6 +232,9 @@ def test_verify_truncation_exit_code(capsys):
     ["heisenberg", "--pmc", "pmc2", "--fractions", "1/6,1/6,1/3,1/3", "--n-tot", "inf"],
     ["verify", "--samples", "1", "--alpha-max", "nan"],
     ["verify", "--samples", "1", "--squeeze-max", "inf"],
+    ["qfi", "--set", "port1.alpha.magnitude=-1"],
+    ["qfi", "--set", "port0.xi.factor=-1"],
+    ["sweep", "--axis", "alpha", "--start", "-1", "--stop", "1", "--steps", "3"],
 ])
 def test_non_finite_numbers_are_config_errors(argv, capsys):
     assert main(argv) == 2
@@ -272,6 +279,16 @@ def test_overflow_exits_3_before_any_row(argv, capsys):
     assert captured.err.startswith("error:") and "overflow" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no header, no row, so no nan or inf cell either
+
+
+def test_overflowing_fisher_element_exits_3(capsys):
+    """F_dd overflows at |alpha| = |beta| = 1e153 with squeeze factor 3: no inf, no qcrb 0."""
+    code = main(["qfi", "--set", "port1.alpha.magnitude=1e153",
+                 "--set", "port0.beta.magnitude=1e153", "--set", "port0.xi.factor=3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error:") and "overflow" in captured.err
+    assert captured.out == ""
 
 
 def test_homodyne_sweep_at_squeeze_factor_170(capsys):
@@ -452,6 +469,56 @@ def test_flat_rows_of_an_amplitude_sweep_print_inf(capsys):
         with pytest.raises(FlatObjective):
             optimal_working_point(scheme, flat)
     assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row[1:4])
+
+
+def test_equal_squeezed_vacua_have_zero_qfi(capsys):
+    """F_dd of two equal squeezed vacua is exactly 0, so the QCRB is inf, not 2^26."""
+    sets = ["port1.zeta.factor=0.5", "port0.xi.factor=0.5"]
+    assert main(["qfi", *(arg for item in sets for arg in ("--set", item))]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    record = dict(zip(header, rows[0]))
+    assert (record["f_dd"], record["qfi"], record["qcrb"]) == ("0", "0", "inf")
+    assert main(_argv("alpha", "0", "1", 3, sets)) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert rows[0][-1] == "inf"
+
+
+_FUZZ_KEYS = ("port1.alpha.magnitude", "port1.alpha.phase", "port1.zeta.factor",
+              "port1.zeta.phase", "port0.beta.magnitude", "port0.beta.phase",
+              "port0.xi.factor", "port0.xi.phase", "phase", "homodyne.local_phase",
+              "efficiency", "shots")
+_FUZZ_VALUES = ("-1", "0", "1e-300", "0.5", "3", "1e5", "1e153", "1e200", "nan", "inf", "1e400")
+
+
+@settings(max_examples=400, deadline=None)
+# F_sd^2 overflows a float: once an OverflowError traceback
+@example(command="qfi", values={"port1.alpha.magnitude": "1e153",
+                                "port0.beta.magnitude": "1e153", "port0.beta.phase": "0.5"})
+# a variance that underflows, and the dark fringe of two equal coherent inputs
+# at phi = pi/2: both once a Delta phi of 0 and a ValueError traceback
+@example(command="phi", values={"port1.alpha.magnitude": "1e-300", "port0.beta.magnitude": "1e5"})
+@example(command="phi", values={"port1.alpha.magnitude": "1e5", "port0.beta.magnitude": "1e5"})
+@given(command=st.sampled_from(("qfi", "phi")),
+       values=st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)))
+def test_cli_contract_holds_for_every_number(command, values):
+    """Exit 0, 2 or 3 and no traceback, whatever numbers the keys get; no nan is printed.
+
+    Any subset of the keys is set, the rest keep their defaults.  An exit 0 of
+    ``qfi`` prints a finite, non-negative QFI.
+    """
+    argv = ["qfi"] if command == "qfi" else _argv("phi", "0", "2*pi", 5, [])
+    for key, value in values.items():
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue(), argv
+    if code == 0 and command == "qfi":
+        header, rows = _rows(out.getvalue())
+        value = float(dict(zip(header, rows[0]))["qfi"])
+        assert math.isfinite(value) and value >= 0.0, argv
 
 
 def test_sweep_kernel_calls_do_not_grow_with_steps(monkeypatch, capsys):

@@ -6,10 +6,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzgauss._minimize import golden_minimize
 from mzgauss.detection import (DifferenceIntensity, Homodyne,
-                               SingleModeIntensity, effective_moments, observable_mean,
+                               SingleModeIntensity, observable_mean,
                                observable_stats, observable_variance,
                                optimal_working_point, sensitivities,
                                sensitivity, working_points)
@@ -18,7 +20,7 @@ from mzgauss.fisher import fisher_matrix, qcrb, qfi
 from mzgauss.interferometer import BsConvention, MziScenario
 from mzgauss.oracle import evolve, measure_stats, prepare
 from mzgauss.pmc import PmcSet, apply_pmc
-from mzgauss.states import GaussianPort, pair_terms, port_moments
+from mzgauss.states import GaussianPort, port_moments
 
 from conftest import relerr
 
@@ -270,14 +272,21 @@ def _per_phase_reference(scheme, scenario):
     """(mean, variance, |slope|) at the scenario phase, one phase at a time in math.
 
     The scalar closed forms the array kernel replaced, in their operation order;
-    the single-mode mean and variance are the expanded forms, written out term
-    by term, that the kernel now takes from the port-4 amplitude.
+    the number variances and the single-mode mean are the expanded forms, written
+    out term by term, that the kernel now takes from the Gram factor and the
+    port-4 amplitude.
     """
-    p0, p1 = effective_moments(scenario)
+    p0, p1 = scenario.folded_moments
     phi, half = scenario.phase, 0.5 * scenario.phase
     excess = (1.0 - scenario.efficiency) / scenario.efficiency
     re01 = (p0.mean_a * p1.mean_a.conjugate()).real
-    base, cross = pair_terms(p0, p1)
+    # base = <n0> + <n1> + 2 (<n0><n1> - |<a0>|^2 |<a1>|^2) and
+    # cross = Re(<a0^2><a1^2>* - <a0>^2 <a1>*^2), through the centred moments
+    a0, a1 = p0.mean_a, p1.mean_a
+    base = p0.mean_n + p1.mean_n + 2.0 * (abs(a0) ** 2 * p1.dn + p0.dn * abs(a1) ** 2
+                                          + p0.dn * p1.dn)
+    cross = (a0 * a0 * p1.dm.conjugate() + p0.dm * (a1 * a1).conjugate()
+             + p0.dm * p1.dm.conjugate()).real
     nd_slope = abs(math.sin(phi) * (p0.mean_n - p1.mean_n) - 2.0 * math.cos(phi) * re01)
     if isinstance(scheme, DifferenceIntensity):
         corr = (p0.corr_na.conjugate() * p1.mean_a - p0.mean_a * p1.corr_na.conjugate()).real
@@ -358,22 +367,23 @@ def test_cancelled_variance_never_wins_a_working_point():
     assert relerr(point.delta_phi, 6.60108642260641, floor=0.0) < 1e-10
 
 
-def _mp_single_mode(scenario):
-    """Delta phi(phi) of the single-mode scheme: the expanded closed form in 60 digits.
+def _mp_forms(ports, efficiency=1.0):
+    """The expanded closed forms of both number schemes in mpmath, as a function of phi.
 
-    The port moments are rebuilt in mpmath from <a>, dn and dm, so the
-    cancellation next to a dark fringe leaves 40 digits.
+    ``ports`` are the folded (port0, port1) as mpmath (<a>, dn, dm); the
+    returned function gives (df variance, sg mean, sg variance, |d<n4 - n5>/dphi|)
+    with detector loss.  Written out term by term, so they cancel where the
+    kernel does not: the working precision has to cover that.
     """
     mp = mpmath.mp
-    ports = []
-    for p in effective_moments(scenario):
-        a, dn, dm = mpmath.mpc(p.mean_a), mpmath.mpf(p.dn), mpmath.mpc(p.dm)
+    moments = []
+    for a, dn, dm in ports:
         size = abs(a) ** 2
-        ports.append({"a": a, "n": size + dn, "dn": dn, "dm": dm, "corr": a * dn + mp.conj(a) * dm,
-                      "var": dn ** 2 + dn + abs(dm) ** 2 + size * (2 * dn + 1)
-                      + 2 * mp.re(mp.conj(a) ** 2 * dm)})
-    p0, p1 = ports
-    excess = (1 - mpmath.mpf(scenario.efficiency)) / mpmath.mpf(scenario.efficiency)
+        moments.append({"a": a, "n": size + dn, "dn": dn, "dm": dm, "corr": a * dn + mp.conj(a) * dm,
+                        "var": dn ** 2 + dn + abs(dm) ** 2 + size * (2 * dn + 1)
+                        + 2 * mp.re(mp.conj(a) ** 2 * dm)})
+    p0, p1 = moments
+    excess = (1 - mpmath.mpf(efficiency)) / mpmath.mpf(efficiency)
     re01 = mp.re(p0["a"] * mp.conj(p1["a"]))
     base = p0["n"] + p1["n"] + 2 * (abs(p0["a"]) ** 2 * p1["dn"] + p0["dn"] * abs(p1["a"]) ** 2
                                     + p0["dn"] * p1["dn"])
@@ -381,13 +391,29 @@ def _mp_single_mode(scenario):
                   + p0["dm"] * mp.conj(p1["dm"]))
     corr0, corr1 = mp.re(mp.conj(p0["corr"]) * p1["a"]), mp.re(p0["a"] * mp.conj(p1["corr"]))
 
-    def value(phi):
-        s, c, sin = mpmath.sin(phi / 2), mpmath.cos(phi / 2), mpmath.sin(phi)
+    def forms(phi):
+        s, c, sin, cos = mpmath.sin(phi / 2), mpmath.cos(phi / 2), mpmath.sin(phi), mpmath.cos(phi)
+        df = (cos ** 2 * (p0["var"] + p1["var"]) + sin ** 2 * (base + 2 * cross)
+              + 4 * sin * cos * (corr0 - corr1) + excess * (p0["n"] + p1["n"]))
         mean = s ** 2 * p0["n"] + c ** 2 * p1["n"] - sin * re01
-        var = (s ** 4 * p0["var"] + c ** 4 * p1["var"] + sin ** 2 * base / 4 + sin ** 2 * cross / 2
-               - sin * re01 - 2 * s ** 2 * sin * corr0 - 2 * c ** 2 * sin * corr1 + excess * mean)
-        slope = abs(sin * (p0["n"] - p1["n"]) - 2 * mpmath.cos(phi) * re01) / 2
-        return mpmath.sqrt(var) / slope
+        sg = (s ** 4 * p0["var"] + c ** 4 * p1["var"] + sin ** 2 * base / 4 + sin ** 2 * cross / 2
+              - sin * re01 - 2 * s ** 2 * sin * corr0 - 2 * c ** 2 * sin * corr1 + excess * mean)
+        return df, mean, sg, abs(sin * (p0["n"] - p1["n"]) - 2 * cos * re01)
+    return forms
+
+
+def _mp_single_mode(scenario):
+    """Delta phi(phi) of the single-mode scheme: the expanded closed form in 60 digits.
+
+    The port moments are rebuilt in mpmath from <a>, dn and dm, so the
+    cancellation next to a dark fringe leaves 40 digits.
+    """
+    forms = _mp_forms([(mpmath.mpc(p.mean_a), mpmath.mpf(p.dn), mpmath.mpc(p.dm))
+                       for p in scenario.folded_moments], scenario.efficiency)
+
+    def value(phi):
+        _, _, var, slope = forms(phi)
+        return mpmath.sqrt(var) / (slope / 2)
     return value
 
 
@@ -429,6 +455,70 @@ def test_near_coherent_single_mode_optima_match_60_digits(rng):
             f = _mp_single_mode(sc)
             reference = min(_mp_minimum(f, point.phase, half) for half in (1e-7, 1e-5, 1e-3))
             assert abs(point.delta_phi - reference) <= 1e-9 * reference, sc
+
+
+def _mp_fisher_elements(alpha, beta, r, z, theta, phi_zeta, theta_beta, theta_alpha, cube):
+    """The published general-phase (F_ss, F_dd, F_sd) in mpmath; cube folds port 0 by -pi/2."""
+    if cube:
+        theta, theta_beta = theta - mpmath.pi, theta_beta - mpmath.pi / 2
+    c2r, s2r, c2z, s2z = mpmath.cosh(2 * r), mpmath.sinh(2 * r), mpmath.cosh(2 * z), mpmath.sinh(2 * z)
+
+    def ups(mag, c, s, angle, sign):
+        return mag ** 2 * (c + sign * s * mpmath.cos(angle))
+
+    f_dd = (ups(alpha, c2r, s2r, 2 * theta_alpha - theta, 1) + ups(beta, c2z, s2z, 2 * theta_beta - phi_zeta, 1)
+            + (c2r * c2z - s2r * s2z * mpmath.cos(theta - phi_zeta) - 1) / 2)
+    f_ss = ((s2r ** 2 + s2z ** 2) / 2 + ups(beta, c2r, s2r, 2 * theta_beta - theta, -1)
+            + ups(alpha, c2z, s2z, 2 * theta_alpha - phi_zeta, -1))
+    f_sd = alpha * beta * (s2r * mpmath.sin(theta_alpha + theta_beta - theta)
+                           - s2z * mpmath.sin(theta_alpha + theta_beta - phi_zeta)
+                           - 2 * (1 + mpmath.sinh(r) ** 2 + mpmath.sinh(z) ** 2)
+                           * mpmath.sin(theta_alpha - theta_beta))
+    return f_ss, f_dd, f_sd
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.floats(-2.0, 5.0), beta=st.floats(-2.0, 5.0), r=st.floats(0.0, 2.3),
+       z=st.floats(0.0, 2.3), phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=5, max_size=5),
+       convention=st.sampled_from(list(BsConvention)))
+def test_gram_factor_matches_50_digit_references(alpha, beta, r, z, phases, convention):
+    """Fisher elements and df/sg variances read off the Gram factor, against 50 digits.
+
+    The references are the published general-phase elements and the expanded
+    detection variances, both rebuilt in mpmath from the port parameters.  The
+    cube F_sd of ``fisher_matrix`` has the sign opposite to the folded closed
+    form; it is held to sqrt(F_ss F_dd), as it is 0 under many phase relations.
+    """
+    ta, tb, theta, phi_zeta, phi = phases
+    port1 = GaussianPort.from_params(10 ** alpha, ta, z, phi_zeta)
+    port0 = GaussianPort.from_params(10 ** beta, tb, r, theta)
+    sc = MziScenario(port1, port0, convention)
+    cube = convention is BsConvention.CUBE
+    fm = fisher_matrix(sc)
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        ref = _mp_fisher_elements(mpf(port1.displacement.magnitude), mpf(port0.displacement.magnitude),
+                                  mpf(r), mpf(z), mpf(port0.squeeze.phase), mpf(port1.squeeze.phase),
+                                  mpf(port0.displacement.phase), mpf(port1.displacement.phase), cube)
+        ports = []
+        for port, rotation in ((port0, -mpmath.pi / 2 if cube else 0), (port1, 0)):
+            s = mpf(port.squeeze.factor)
+            ports.append((mpf(port.displacement.magnitude)
+                          * mpmath.expjpi((mpf(port.displacement.phase) + rotation) / mpmath.pi),
+                          mpmath.sinh(s) ** 2,
+                          -mpmath.sinh(2 * s) / 2
+                          * mpmath.expjpi((mpf(port.squeeze.phase) + 2 * rotation) / mpmath.pi)))
+        df, _, sg, _ = _mp_forms(ports)(mpf(phi))
+    # F_sd is a dot product of two columns: it rounds relative to their norms
+    scale = max(float(mpmath.sqrt(ref[0] * ref[1])), 1.0)
+    sign = -1.0 if cube else 1.0
+    for got, want, size in ((fm.f_ss, ref[0], ref[0]), (fm.f_dd, ref[1], ref[1]),
+                            (fm.f_sd, sign * ref[2], scale)):
+        assert abs(got - want) <= 1e-12 * max(abs(size), 1), (got, want)
+    for scheme, want in ((DifferenceIntensity(), df), (SingleModeIntensity(), sg)):
+        got = observable_stats(scheme, sc, [phi])[1][0]
+        assert got >= 0.0
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1), (scheme, got, want)
 
 
 def test_single_mode_optimum_finds_the_deeper_basin():
