@@ -230,7 +230,7 @@ def cmd_qfi(cfg: dict, out: IO[str], err: IO[str]) -> int:
     n = _normalized(cfg)
     scenario = build_scenario(cfg, n)
     fm = fisher_matrix(scenario)
-    value = qfi(fm)
+    value = qfi(scenario)
     bound = qcrb(value, n["shots"]) if value > 0 else math.inf
     limits = boundaries(scenario.port0.squeeze.factor, scenario.port1.squeeze.factor)
     comments = [
@@ -252,7 +252,7 @@ _SWEEP_KEYS = {"phi": "phase", "alpha": "port1.alpha.magnitude",
 
 
 def _bound(scenario: MziScenario, shots: int) -> float:
-    fisher_value = qfi(fisher_matrix(scenario))
+    fisher_value = qfi(scenario)
     return qcrb(fisher_value, shots) if fisher_value > 0 else math.inf
 
 

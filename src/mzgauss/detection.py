@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import FlatObjective
+from .errors import FlatObjective, NumericalOverflow
 from .interferometer import MziScenario
 from .states import TWO_PI, quadrature_noise
 
@@ -111,36 +111,39 @@ def _kernel(scheme: DetectionScheme, terms, phi, excess):
     against ``phi`` and ``excess``.  Mean and variance are those of the ideal
     observable; the slope scales out of Delta phi, so loss only adds variance.
     """
-    if isinstance(scheme, Homodyne):
-        quad0, quad1, qvar0, qvar1 = terms
-        half = 0.5 * phi
-        sin_half, cos_half = np.sin(half), np.cos(half)
-        mean = -sin_half * quad0 + cos_half * quad1
-        slope = 0.5 * np.abs(cos_half * quad0 + sin_half * quad1)
-        var = sin_half ** 2 * qvar0 + cos_half ** 2 * qvar1
-        return mean, var + 0.25 * excess, slope
-    # each count is +-(cos(phi) Jz + sin(phi) Jx - c N) / w over (N, Jx, Jy, Jz), with
-    # variance |F (.)|^2 / w^2, a sum of squares, and a slope read from the means <J>
-    along_n, along_z, along_x, split, cross, *rest = terms
-    cos, sin = np.cos(phi), np.sin(phi)
-    rows = cos[..., None] * along_z + sin[..., None] * along_x
-    slope = np.abs(sin * split - cos * cross)
-    if isinstance(scheme, DifferenceIntensity):
-        mean = -(cos * split) - sin * cross
-        detected, weight = rest[0], 1.0
-    else:
-        # port 4 is cos(phi/2) a1 - sin(phi/2) a0, with amplitude u: taking u itself,
-        # not |u|^2 written out, keeps the digits of the mean next to a dark fringe,
-        # where the terms of |u|^2 cancel
-        rows -= along_n
-        mean0, mean1, dn0, dn1 = rest
-        half = 0.5 * phi
-        sin_half, cos_half = np.sin(half), np.cos(half)
-        u = cos_half * mean1 - sin_half * mean0
-        mean = u.real ** 2 + u.imag ** 2 + (sin_half ** 2 * dn0 + cos_half ** 2 * dn1)
-        detected, weight = mean, 0.25
-    var = weight * np.einsum("...i,...i->...", rows, rows)
-    return mean, var + excess * detected, slope
+    with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows raises below
+        if isinstance(scheme, Homodyne):
+            quad0, quad1, qvar0, qvar1 = terms
+            half = 0.5 * phi
+            sin_half, cos_half = np.sin(half), np.cos(half)
+            mean = -sin_half * quad0 + cos_half * quad1
+            slope = 0.5 * np.abs(cos_half * quad0 + sin_half * quad1)
+            var = sin_half ** 2 * qvar0 + cos_half ** 2 * qvar1 + 0.25 * excess
+        else:
+            # each count is +-(cos(phi) Jz + sin(phi) Jx - c N) / w over (N, Jx, Jy, Jz), with
+            # variance |F (.)|^2 / w^2, a sum of squares, and a slope read from the means <J>
+            along_n, along_z, along_x, split, cross, *rest = terms
+            cos, sin = np.cos(phi), np.sin(phi)
+            rows = cos[..., None] * along_z + sin[..., None] * along_x
+            slope = np.abs(sin * split - cos * cross)
+            if isinstance(scheme, DifferenceIntensity):
+                mean = -(cos * split) - sin * cross
+                detected, weight = rest[0], 1.0
+            else:
+                # port 4 is cos(phi/2) a1 - sin(phi/2) a0, with amplitude u: taking u itself,
+                # not |u|^2 written out, keeps the digits of the mean next to a dark fringe,
+                # where the terms of |u|^2 cancel
+                rows -= along_n
+                mean0, mean1, dn0, dn1 = rest
+                half = 0.5 * phi
+                sin_half, cos_half = np.sin(half), np.cos(half)
+                u = cos_half * mean1 - sin_half * mean0
+                mean = u.real ** 2 + u.imag ** 2 + (sin_half ** 2 * dn0 + cos_half ** 2 * dn1)
+                detected, weight = mean, 0.25
+            var = weight * np.einsum("...i,...i->...", rows, rows) + excess * detected
+    if not math.isfinite(var.max()):  # inf, or nan from an infinite loss term times 0
+        raise NumericalOverflow("a detection variance overflows")
+    return mean, var, slope
 
 
 def _delta_phi(var, slope):
@@ -149,8 +152,9 @@ def _delta_phi(var, slope):
     A zero Delta phi would beat every quantum bound: it is a rounded 0/0, as on
     the dark fringe of coherent inputs or where the variance underflows.
     """
-    values = np.divide(np.sqrt(var), slope, out=np.full(np.shape(var), math.inf),
-                       where=slope != 0.0)
+    with np.errstate(over="ignore"):  # a quotient that overflows is the +inf marker already
+        values = np.divide(np.sqrt(var), slope, out=np.full(np.shape(var), math.inf),
+                           where=slope != 0.0)
     values[values == 0.0] = math.inf
     return values
 

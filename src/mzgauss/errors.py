@@ -9,10 +9,6 @@ class ConfigError(MzGaussError):
     """Malformed or inconsistent CLI configuration."""
 
 
-class DegenerateMatrix(MzGaussError):
-    """Fisher matrix with vanishing sum-sum element but nonzero cross element."""
-
-
 class NonPositiveInformation(MzGaussError):
     """Cramer-Rao bound requested for non-positive Fisher information."""
 

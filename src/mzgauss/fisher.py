@@ -1,10 +1,12 @@
 """Two-parameter Fisher information, QFI and the Cramer-Rao bound.
 
-The generic path reads the elements off the Gram factor F of the two ports'
-photon-number covariance (:func:`states.number_factor`): F_ss = Var N,
-F_dd = Var Jy and F_sd = +-Cov(N, Jy) are dot products of two columns of F,
-so the diagonal ones are sums of squares.  The closed-form path re-expresses
-the same elements through the Upsilon functions and the optimal
+The generic path reads everything off the Gram factor F of the two ports'
+photon-number covariance (:func:`states.number_factor`), with columns
+n = F e_N and y = F e_y: F_ss = |n|^2 = Var N, F_dd = |y|^2 = Var Jy and
+F_sd = +-n.y = +-Cov(N, Jy).  The QFI F_dd - F_sd^2/F_ss is the squared
+part of y across n, read as a sum of squared 2x2 minors, so F_dd is never
+cancelled against F_sd^2/F_ss.  The closed-form path re-expresses the same
+elements through the published general-phase forms and the optimal
 phase-matching families; both must agree to 1e-10 and are tested against the
 truncated Fock oracle.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NonPositiveInformation, NumericalOverflow
+from .errors import NonPositiveInformation, NumericalOverflow
 from .interferometer import BsConvention, MziScenario
 
 # sign of F_sd against Cov(N, Jy) of the folded ports: the conventions label the arms oppositely
@@ -47,13 +49,29 @@ def fisher_matrix(scenario: MziScenario) -> FisherMatrix:
     return FisherMatrix(f_ss=f_ss, f_dd=f_dd, f_sd=f_sd)
 
 
-def qfi(fm: FisherMatrix) -> float:
-    """Difference-parameter quantum Fisher information F_dd - F_sd^2 / F_ss."""
-    if fm.f_ss < 1e-12:
-        if abs(fm.f_sd) >= 1e-9:
-            raise DegenerateMatrix(f"f_ss ~ 0 but f_sd = {fm.f_sd}; the matrix cannot be reduced")
-        return fm.f_dd
-    return fm.f_dd - fm.f_sd * (fm.f_sd / fm.f_ss)  # f_sd^2 alone may overflow
+def qfi(scenario: MziScenario) -> float:
+    """Difference-parameter quantum Fisher information F_dd - F_sd^2 / F_ss.
+
+    With the columns n = F e_N and y = F e_y of ``scenario.factor`` and
+    n^ = n / |n|, the Lagrange identity gives
+    F_dd - F_sd^2/F_ss = sum_{i<j} (n^_i y_j - n^_j y_i)^2: a sum of squares,
+    each at most F_dd, so it is never negative and F_dd is never cancelled
+    against F_sd^2/F_ss.  |n| = 0 only for two vacua, where the QFI is 0.  A
+    QFI that overflows raises ``NumericalOverflow``.
+    """
+    columns, _ = scenario.factor
+    n, y = columns[0], columns[2]
+    size = math.hypot(*n.tolist())  # |n|, with no overflow or underflow on the way
+    if size == 0.0:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # both (i, j) and (j, i) of n^_i y_j - n^_j y_i, each over sqrt(2)
+        wedge = (n / (math.sqrt(2.0) * size))[:, None] * y
+        wedge = (wedge - wedge.T).ravel()
+        value = float(wedge @ wedge)
+    if not math.isfinite(value):
+        raise NumericalOverflow(f"the QFI overflows at F_ss = {size:g}^2")
+    return value
 
 
 def qcrb(fisher_information: float, shots: int = 1) -> float:
@@ -101,10 +119,10 @@ def phase_fisher_elements(alpha, beta, r, z, theta, phi_zeta, theta_beta,
 
 
 def qfi_from_elements(f_ss, f_dd, f_sd):
-    """Vector-friendly F_dd - F_sd^2 / F_ss with the vacuum case reduced to F_dd."""
+    """Vector-friendly F_dd - F_sd^2 / F_ss; F_ss = 0 (two vacua, where F_sd = 0) gives F_dd."""
     f_ss = np.asarray(f_ss, dtype=float)
-    safe = np.where(f_ss < 1e-12, 1.0, f_ss)
-    corr = np.where(f_ss < 1e-12, 0.0, np.asarray(f_sd) ** 2 / safe)
+    vacua = f_ss == 0.0
+    corr = np.where(vacua, 0.0, np.asarray(f_sd) ** 2 / np.where(vacua, 1.0, f_ss))
     out = np.asarray(f_dd) - corr
     return float(out) if out.ndim == 0 else out
 

@@ -137,19 +137,9 @@ def single_mode_moments(port: GaussianPort, n_max: int = 60) -> PortMoments:
     av = a @ vec
     mean_a = complex(np.vdot(vec, av))
     mean_a2 = complex(np.vdot(vec, a @ av))
-    p = np.abs(vec) ** 2
-    mean_n = float(np.dot(ns, p))
-    mean_n2 = float(np.dot(ns ** 2, p))
-    mean_na = complex(np.vdot(vec, ns * av))
-    return PortMoments(
-        mean_a=mean_a,
-        mean_a2=mean_a2,
-        mean_n=mean_n,
-        var_n=mean_n2 - mean_n ** 2,
-        corr_na=mean_na - mean_n * mean_a,
-        dn=mean_n - abs(mean_a) ** 2,
-        dm=mean_a2 - mean_a ** 2,
-    )
+    mean_n = float(np.dot(ns, np.abs(vec) ** 2))
+    return PortMoments(mean_a=mean_a, mean_n=mean_n, dn=mean_n - abs(mean_a) ** 2,
+                       dm=mean_a2 - mean_a ** 2)
 
 
 def prepare(scenario: MziScenario, n_max: int = 60) -> FockVector:

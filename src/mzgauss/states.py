@@ -1,10 +1,11 @@
 """Gaussian input preparations, their single-mode moments and their photon-number covariance.
 
 A port is prepared by squeezing the vacuum and then displacing it,
-D(gamma) S(chi) |0>.  Every closed-form result downstream consumes only the
-moment quantities collected in :class:`PortMoments`; the Fisher matrix and
-both photon-counting variances read the two ports' moments through the one
-Gram factor of :func:`number_factor`.
+D(gamma) S(chi) |0>.  A Gaussian port is fixed by <a>, <n> and the centred
+moments of :class:`PortMoments`.  The Fisher matrix, the QFI and both
+photon-counting variances read the two ports' moments through the one Gram
+factor of :func:`number_factor`; homodyne reads them through
+:func:`quadrature_noise`.
 """
 
 from __future__ import annotations
@@ -86,12 +87,6 @@ class GaussianPort:
     def vacuum() -> "GaussianPort":
         return GaussianPort()
 
-    def rotated(self, delta: float) -> "GaussianPort":
-        """Rotate the mode phase: gamma -> gamma e^{i delta}, chi -> chi e^{2i delta}."""
-        disp = Coherent(self.displacement.magnitude, self.displacement.phase + delta)
-        sqz = Squeeze(self.squeeze.factor, self.squeeze.phase + 2.0 * delta)
-        return GaussianPort(disp, sqz)
-
     @functools.cached_property
     def moments(self) -> "PortMoments":
         """:func:`port_moments` of this port, computed on first use."""
@@ -103,60 +98,39 @@ class PortMoments:
     """The single-mode moments every closed-form formula consumes.
 
     mean_a   = <a>
-    mean_a2  = <a^2>
     mean_n   = <n>
-    var_n    = <n^2> - <n>^2
-    corr_na  = <n a> - <n><a>
     dn       = <n> - |<a>|^2      (sinh^2 s)
     dm       = <a^2> - <a>^2      (-sinh(2s) e^{i theta} / 2)
 
     The centred moments dn and dm carry the squeezing alone, so products of
-    two ports never cancel their leading |<a>|^2 terms numerically.
+    two ports never cancel their leading |<a>|^2 terms numerically.  By Wick's
+    theorem every higher moment of the Gaussian port follows from these.
     """
 
     mean_a: complex
-    mean_a2: complex
     mean_n: float
-    var_n: float
-    corr_na: complex
     dn: float
     dm: complex
 
     def rotated(self, delta: float) -> "PortMoments":
         """Moments of the phase-rotated mode e^{i delta n} (a -> a e^{i delta})."""
         ph = cmath.exp(1j * delta)
-        return PortMoments(
-            mean_a=self.mean_a * ph,
-            mean_a2=self.mean_a2 * ph * ph,
-            mean_n=self.mean_n,
-            var_n=self.var_n,
-            corr_na=self.corr_na * ph,
-            dn=self.dn,
-            dm=self.dm * ph * ph,
-        )
+        return PortMoments(mean_a=self.mean_a * ph, mean_n=self.mean_n, dn=self.dn,
+                           dm=self.dm * ph * ph)
 
 
 def port_moments(port: GaussianPort) -> PortMoments:
     """Moments of the squeezed-coherent state D(gamma) S(chi) |0>."""
-    from .upsilon import upsilon_minus
-
     gamma = port.displacement.value
     s = port.squeeze.factor
-    sq_ph = cmath.exp(1j * port.squeeze.phase)
     try:
         sh2 = math.sinh(s) ** 2
-        sh_2s = math.sinh(2.0 * s)
-
-        dm = -0.5 * sh_2s * sq_ph
-        mean_a = gamma
-        mean_a2 = gamma * gamma + dm
+        dm = -0.5 * math.sinh(2.0 * s) * cmath.exp(1j * port.squeeze.phase)
         mean_n = abs(gamma) ** 2 + sh2
-        var_n = 0.5 * sh_2s ** 2 + upsilon_minus(port.displacement, port.squeeze)
-        corr_na = gamma * sh2 - 0.5 * gamma.conjugate() * sh_2s * sq_ph
     except OverflowError:
         raise NumericalOverflow(f"the moments of a port with |gamma| = {abs(gamma):g} and "
                                 f"squeeze factor {s:g} overflow") from None
-    return PortMoments(mean_a, mean_a2, mean_n, var_n, corr_na, sh2, dm)
+    return PortMoments(gamma, mean_n, sh2, dm)
 
 
 def quadrature_noise(p: PortMoments) -> tuple[float, complex]:
@@ -187,7 +161,12 @@ def number_factor(p0: PortMoments, p1: PortMoments) -> tuple[np.ndarray, tuple]:
         return [root0 * g0.real, root0 * g0.imag, (axis0 * g0).imag,
                 root1 * g1.real, root1 * g1.imag, (axis1 * g1).imag]
 
-    v0, v1 = (math.sqrt(p.dn * (p.dn + 1.0) + abs(p.dm) ** 2) for p in (p0, p1))
+    try:  # the squeezing part of sqrt(Var n) of each port
+        v0, v1 = (math.sqrt(p.dn * (p.dn + 1.0) + abs(p.dm) ** 2) for p in (p0, p1))
+        if math.isinf(v0 + v1):
+            raise OverflowError
+    except OverflowError:
+        raise NumericalOverflow("the photon-number variance of a port overflows") from None
     gap = math.sqrt(p0.dn * (p1.dn + 1.0)) + math.sqrt(p1.dn * (p0.dn + 1.0))
     gap = abs(p0.dn - p1.dn) / gap if gap else 0.0
     pair = 2.0 * cmath.sqrt(p0.dm.conjugate() * p1.dm)

@@ -109,7 +109,7 @@ def test_criterion_03_closed_form_generic_identity():
                     beta = 0.0
                 theta_alpha = rng.uniform(0, 2 * math.pi)
                 ports = apply_pmc(pmc, theta_alpha, alpha, beta, r, z, convention)
-                generic = qfi(fisher_matrix(MziScenario(*ports, convention)))
+                generic = qfi(MziScenario(*ports, convention))
                 closed = qfi_closed_form(alpha, beta, r, z, pmc=pmc)
                 worst = max(worst, relerr(generic, closed))
     _report(3, "closed-form/generic QFI identity", worst < 1e-10, f"worst={worst:.2e}")
@@ -177,7 +177,7 @@ def test_criterion_05_detection_hierarchy():
         for r, z in ((0.5, 0.4), (1.0, 1.0), (2.3, 2.2), (0.3, 0.8)):
             ports = apply_pmc(PmcSet.SQZVAC_OPTIMAL, 0.0, alpha, 0.0, r, z)
             sc = MziScenario(*ports)
-            bound = qcrb(qfi(fisher_matrix(sc)))
+            bound = qcrb(qfi(sc))
             sg = detection.optimal_working_point(SingleModeIntensity(), sc).delta_phi
             df = detection.optimal_working_point(DifferenceIntensity(), sc).delta_phi
             hom = detection.optimal_working_point(Homodyne(), sc).delta_phi
@@ -317,7 +317,7 @@ def test_criterion_09_convention_invariance():
         per_convention = []
         for convention in BsConvention:
             ports = apply_pmc(pmc, 0.3, alpha, beta, r, z, convention)
-            per_convention.append(qfi(fisher_matrix(MziScenario(*ports, convention))))
+            per_convention.append(qfi(MziScenario(*ports, convention)))
         worst = max(worst, relerr(*per_convention))
 
     # grid maxima agree between conventions, non-circularly: the cube search's
@@ -329,7 +329,7 @@ def test_criterion_09_convention_invariance():
     theta, phi_zeta, theta_beta = cube_phases
     port1 = GaussianPort.from_params(alpha, 0.0, z, phi_zeta)
     port0 = GaussianPort.from_params(beta, theta_beta, r, theta)
-    re_eval = qfi(fisher_matrix(MziScenario(port1, port0, BsConvention.CUBE)))
+    re_eval = qfi(MziScenario(port1, port0, BsConvention.CUBE))
     worst = max(worst, relerr(re_eval, best_sym))
 
     # the cube optimum of the undisplaced-port-0 family sits at the remapped
@@ -338,7 +338,7 @@ def test_criterion_09_convention_invariance():
                              BsConvention.CUBE)
     remap_ok = (abs(port0.squeeze.phase - math.pi) < 1e-12
                 and abs(port0.squeeze.phase - port1.squeeze.phase) < 1e-12)
-    value = qfi(fisher_matrix(MziScenario(port1, port0, BsConvention.CUBE)))
+    value = qfi(MziScenario(port1, port0, BsConvention.CUBE))
     worst = max(worst, relerr(value, qfi_closed_form(1.0, 0.0, 0.7, 0.5,
                                                      pmc=PmcSet.SQZVAC_OPTIMAL)))
     _report(9, "convention invariance", worst < 1e-10 and remap_ok, f"worst={worst:.2e}")

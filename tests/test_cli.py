@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from mzgauss.cli import _normalized, build_scenario, fmt, load_config, main, par
 from mzgauss.detection import (DifferenceIntensity, Homodyne, SingleModeIntensity,
                                optimal_working_point, sensitivities, sensitivity)
 from mzgauss.errors import FlatObjective
-from mzgauss.fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
+from mzgauss.fisher import qcrb, qfi, qfi_closed_form
 from mzgauss.pmc import PmcSet, classify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -360,7 +361,7 @@ def _argv(axis, start, stop, steps, sets):
 
 
 def _bound(scenario):
-    value = qfi(fisher_matrix(scenario))
+    value = qfi(scenario)
     return qcrb(value) if value > 0 else math.inf
 
 
@@ -487,26 +488,37 @@ _FUZZ_KEYS = ("port1.alpha.magnitude", "port1.alpha.phase", "port1.zeta.factor",
               "port1.zeta.phase", "port0.beta.magnitude", "port0.beta.phase",
               "port0.xi.factor", "port0.xi.phase", "phase", "homodyne.local_phase",
               "efficiency", "shots")
-_FUZZ_VALUES = ("-1", "0", "1e-300", "0.5", "3", "1e5", "1e153", "1e200", "nan", "inf", "1e400")
+_FUZZ_VALUES = ("-1", "0", "1e-300", "0.5", "3", "200", "1e5", "1e153", "1e200", "nan", "inf",
+                "1e400")
+_FUZZ_FAMILIES = (None,) + tuple(family.value for family in PmcSet)
 
 
 @settings(max_examples=400, deadline=None)
 # F_sd^2 overflows a float: once an OverflowError traceback
 @example(command="qfi", values={"port1.alpha.magnitude": "1e153",
-                                "port0.beta.magnitude": "1e153", "port0.beta.phase": "0.5"})
+                                "port0.beta.magnitude": "1e153", "port0.beta.phase": "0.5"},
+         pmc=None, convention="symmetric")
 # a variance that underflows, and the dark fringe of two equal coherent inputs
 # at phi = pi/2: both once a Delta phi of 0 and a ValueError traceback
-@example(command="phi", values={"port1.alpha.magnitude": "1e-300", "port0.beta.magnitude": "1e5"})
-@example(command="phi", values={"port1.alpha.magnitude": "1e5", "port0.beta.magnitude": "1e5"})
+@example(command="phi", values={"port1.alpha.magnitude": "1e-300", "port0.beta.magnitude": "1e5"},
+         pmc=None, convention="symmetric")
+@example(command="phi", values={"port1.alpha.magnitude": "1e5", "port0.beta.magnitude": "1e5"},
+         pmc=None, convention="symmetric")
+# a detection variance that overflows: once inf cells, exit 0 and a RuntimeWarning
+@example(command="phi", values={"port1.alpha.magnitude": "1e153", "efficiency": "1e-300"},
+         pmc=None, convention="symmetric")
 @given(command=st.sampled_from(("qfi", "phi")),
-       values=st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)))
-def test_cli_contract_holds_for_every_number(command, values):
+       values=st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)),
+       pmc=st.sampled_from(_FUZZ_FAMILIES), convention=st.sampled_from(("symmetric", "cube")))
+def test_cli_contract_holds_for_every_number(command, values, pmc, convention):
     """Exit 0, 2 or 3 and no traceback, whatever numbers the keys get; no nan is printed.
 
-    Any subset of the keys is set, the rest keep their defaults.  An exit 0 of
-    ``qfi`` prints a finite, non-negative QFI.
+    Any subset of the keys is set, the rest keep their defaults, under any
+    family (or none) and either convention.  An exit 0 of ``qfi`` prints a
+    finite, non-negative QFI and its QCRB 1/sqrt(shots QFI), or inf at QFI 0.
     """
     argv = ["qfi"] if command == "qfi" else _argv("phi", "0", "2*pi", 5, [])
+    argv += ["--set", f"convention={convention}"] + ([] if pmc is None else ["--set", f"pmc={pmc}"])
     for key, value in values.items():
         argv += ["--set", f"{key}={value}"]
     out, err = io.StringIO(), io.StringIO()
@@ -517,8 +529,40 @@ def test_cli_contract_holds_for_every_number(command, values):
     assert "nan" not in out.getvalue(), argv
     if code == 0 and command == "qfi":
         header, rows = _rows(out.getvalue())
-        value = float(dict(zip(header, rows[0]))["qfi"])
+        record = dict(zip(header, rows[0]))
+        value, bound = float(record["qfi"]), float(record["qcrb"])
         assert math.isfinite(value) and value >= 0.0, argv
+        shots = json.loads(_comments(out.getvalue())[0].removeprefix("# config: "))["shots"]
+        if value == 0.0:
+            assert bound == math.inf, argv
+        else:  # both cells are printed to 12 digits
+            assert bound == pytest.approx(1.0 / (math.sqrt(shots) * math.sqrt(value)), rel=1e-10), argv
+
+
+@pytest.mark.parametrize("convention", ["symmetric", "cube"])
+@pytest.mark.parametrize("magnitude", ["1e6", "1e7", "1e8", "1e12"])
+def test_pmc3_qfi_does_not_cancel_at_large_amplitudes(magnitude, convention, capsys):
+    """F_dd - F_sd^2/F_ss once printed 4091.1875 at 1e6, 4088 at 1e7 and 0 at 1e12."""
+    assert main(["qfi", "--set", "pmc=pmc3", "--set", f"convention={convention}",
+                 "--set", f"port1.alpha.magnitude={magnitude}",
+                 "--set", f"port0.beta.magnitude={magnitude}",
+                 "--set", "port0.xi.factor=2.3", "--set", "port1.zeta.factor=2.2"]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    record = dict(zip(header, rows[0]))
+    assert float(record["qfi"]) == pytest.approx(4091.1926773, rel=1e-9)
+    assert float(record["qcrb"]) == pytest.approx(1.0 / math.sqrt(4091.1926773), rel=1e-9)
+
+
+def test_overflowing_detection_variance_exits_3(capsys):
+    """The df variance, 1e300 x 1e306 photons of loss noise, once printed inf with exit 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--axis", "phi", "--start", "0", "--stop", "1", "--steps", "3",
+                     "--set", "port1.alpha.magnitude=1e153", "--set", "efficiency=1e-300"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error:") and "overflow" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_kernel_calls_do_not_grow_with_steps(monkeypatch, capsys):

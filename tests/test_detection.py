@@ -17,12 +17,13 @@ from mzgauss.detection import (DifferenceIntensity, Homodyne,
                                sensitivity, working_points)
 from mzgauss.errors import FlatObjective
 from mzgauss.fisher import fisher_matrix, qcrb, qfi
-from mzgauss.interferometer import BsConvention, MziScenario
+from mzgauss.interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
 from mzgauss.oracle import evolve, measure_stats, prepare
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort, port_moments
+from mzgauss.upsilon import upsilon_minus
 
-from conftest import relerr
+from conftest import mp_fisher_elements, relerr
 
 ALL_SCHEMES = (DifferenceIntensity(), SingleModeIntensity(), Homodyne())
 
@@ -268,6 +269,19 @@ def test_array_views_equal_scalar_views(rng):
                 assert value == sensitivity(scheme, base.with_phase(1.1).with_efficiency(eta)).delta_phi
 
 
+def _number_moments(scenario):
+    """(Var n, <n a> - <n><a>) of the folded port 0 and of port 1, from the port parameters."""
+    out = []
+    cube = scenario.convention is BsConvention.CUBE
+    for port, rotation in ((scenario.port0, CUBE_PORT0_ROTATION if cube else 0.0), (scenario.port1, 0.0)):
+        gamma, s = port.displacement.value, port.squeeze.factor
+        var_n = 0.5 * math.sinh(2.0 * s) ** 2 + upsilon_minus(port.displacement, port.squeeze)
+        corr_na = (gamma * math.sinh(s) ** 2
+                   - 0.5 * gamma.conjugate() * math.sinh(2.0 * s) * cmath.exp(1j * port.squeeze.phase))
+        out.append((var_n, corr_na * cmath.exp(1j * rotation)))
+    return out
+
+
 def _per_phase_reference(scheme, scenario):
     """(mean, variance, |slope|) at the scenario phase, one phase at a time in math.
 
@@ -277,6 +291,7 @@ def _per_phase_reference(scheme, scenario):
     port-4 amplitude.
     """
     p0, p1 = scenario.folded_moments
+    (var_n0, corr0), (var_n1, corr1) = _number_moments(scenario)
     phi, half = scenario.phase, 0.5 * scenario.phase
     excess = (1.0 - scenario.efficiency) / scenario.efficiency
     re01 = (p0.mean_a * p1.mean_a.conjugate()).real
@@ -289,18 +304,18 @@ def _per_phase_reference(scheme, scenario):
              + p0.dm * p1.dm.conjugate()).real
     nd_slope = abs(math.sin(phi) * (p0.mean_n - p1.mean_n) - 2.0 * math.cos(phi) * re01)
     if isinstance(scheme, DifferenceIntensity):
-        corr = (p0.corr_na.conjugate() * p1.mean_a - p0.mean_a * p1.corr_na.conjugate()).real
+        corr = (corr0.conjugate() * p1.mean_a - p0.mean_a * corr1.conjugate()).real
         mean = math.cos(phi) * (p1.mean_n - p0.mean_n) - 2.0 * math.sin(phi) * re01
-        var = (math.cos(phi) ** 2 * (p0.var_n + p1.var_n) + math.sin(phi) ** 2 * (base + 2.0 * cross)
+        var = (math.cos(phi) ** 2 * (var_n0 + var_n1) + math.sin(phi) ** 2 * (base + 2.0 * cross)
                + 2.0 * math.sin(2.0 * phi) * corr + excess * (p0.mean_n + p1.mean_n))
         return mean, max(var, 0.0), nd_slope
     if isinstance(scheme, SingleModeIntensity):
         s = math.sin(phi)
         mean = math.sin(half) ** 2 * p0.mean_n + math.cos(half) ** 2 * p1.mean_n - s * re01
-        var = (math.sin(half) ** 4 * p0.var_n + math.cos(half) ** 4 * p1.var_n
+        var = (math.sin(half) ** 4 * var_n0 + math.cos(half) ** 4 * var_n1
                + 0.25 * s ** 2 * base + 0.5 * s ** 2 * cross - s * re01
-               - 2.0 * math.sin(half) ** 2 * s * (p0.corr_na.conjugate() * p1.mean_a).real
-               - 2.0 * math.cos(half) ** 2 * s * (p0.mean_a * p1.corr_na.conjugate()).real)
+               - 2.0 * math.sin(half) ** 2 * s * (corr0.conjugate() * p1.mean_a).real
+               - 2.0 * math.cos(half) ** 2 * s * (p0.mean_a * corr1.conjugate()).real)
         return mean, max(var + excess * mean, 0.0), 0.5 * nd_slope
     phi_l = scenario.port1.displacement.phase if scheme.local_phase is None else scheme.local_phase
     rot = cmath.exp(-1j * phi_l)
@@ -457,26 +472,6 @@ def test_near_coherent_single_mode_optima_match_60_digits(rng):
             assert abs(point.delta_phi - reference) <= 1e-9 * reference, sc
 
 
-def _mp_fisher_elements(alpha, beta, r, z, theta, phi_zeta, theta_beta, theta_alpha, cube):
-    """The published general-phase (F_ss, F_dd, F_sd) in mpmath; cube folds port 0 by -pi/2."""
-    if cube:
-        theta, theta_beta = theta - mpmath.pi, theta_beta - mpmath.pi / 2
-    c2r, s2r, c2z, s2z = mpmath.cosh(2 * r), mpmath.sinh(2 * r), mpmath.cosh(2 * z), mpmath.sinh(2 * z)
-
-    def ups(mag, c, s, angle, sign):
-        return mag ** 2 * (c + sign * s * mpmath.cos(angle))
-
-    f_dd = (ups(alpha, c2r, s2r, 2 * theta_alpha - theta, 1) + ups(beta, c2z, s2z, 2 * theta_beta - phi_zeta, 1)
-            + (c2r * c2z - s2r * s2z * mpmath.cos(theta - phi_zeta) - 1) / 2)
-    f_ss = ((s2r ** 2 + s2z ** 2) / 2 + ups(beta, c2r, s2r, 2 * theta_beta - theta, -1)
-            + ups(alpha, c2z, s2z, 2 * theta_alpha - phi_zeta, -1))
-    f_sd = alpha * beta * (s2r * mpmath.sin(theta_alpha + theta_beta - theta)
-                           - s2z * mpmath.sin(theta_alpha + theta_beta - phi_zeta)
-                           - 2 * (1 + mpmath.sinh(r) ** 2 + mpmath.sinh(z) ** 2)
-                           * mpmath.sin(theta_alpha - theta_beta))
-    return f_ss, f_dd, f_sd
-
-
 @settings(max_examples=150, deadline=None)
 @given(alpha=st.floats(-2.0, 5.0), beta=st.floats(-2.0, 5.0), r=st.floats(0.0, 2.3),
        z=st.floats(0.0, 2.3), phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=5, max_size=5),
@@ -497,9 +492,7 @@ def test_gram_factor_matches_50_digit_references(alpha, beta, r, z, phases, conv
     fm = fisher_matrix(sc)
     with mpmath.workdps(50):
         mpf = mpmath.mpf
-        ref = _mp_fisher_elements(mpf(port1.displacement.magnitude), mpf(port0.displacement.magnitude),
-                                  mpf(r), mpf(z), mpf(port0.squeeze.phase), mpf(port1.squeeze.phase),
-                                  mpf(port0.displacement.phase), mpf(port1.displacement.phase), cube)
+        ref = mp_fisher_elements(sc)
         ports = []
         for port, rotation in ((port0, -mpmath.pi / 2 if cube else 0), (port1, 0)):
             s = mpf(port.squeeze.factor)
@@ -541,7 +534,7 @@ def test_working_point_hierarchy_on_grid():
     for alpha in (0.7, 1.0, 3.0, 10.0, 100.0):
         for r, z in ((0.5, 0.4), (1.0, 1.0), (2.3, 2.2), (0.3, 0.8)):
             sc = _sqzvac_scenario(alpha, r, z)
-            bound = qcrb(qfi(fisher_matrix(sc)))
+            bound = qcrb(qfi(sc))
             sg = optimal_working_point(SingleModeIntensity(), sc).delta_phi
             df = optimal_working_point(DifferenceIntensity(), sc).delta_phi
             hom = optimal_working_point(Homodyne(), sc).delta_phi

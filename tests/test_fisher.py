@@ -3,23 +3,25 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzgauss.errors import DegenerateMatrix, NonPositiveInformation
-from mzgauss.fisher import (FisherMatrix, fisher_matrix, qcrb, qfi,
-                            qfi_closed_form)
+from mzgauss.errors import NonPositiveInformation
+from mzgauss.fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
 from mzgauss.interferometer import BsConvention, MziScenario
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort
 
-from conftest import relerr
+from conftest import mp_fisher_elements, relerr
 
 
 def test_both_vacuum_gives_zero_matrix():
     sc = MziScenario(GaussianPort.vacuum(), GaussianPort.vacuum())
     fm = fisher_matrix(sc)
     assert (fm.f_ss, fm.f_dd, fm.f_sd) == (0.0, 0.0, 0.0)
-    assert qfi(fm) == 0.0
+    assert qfi(sc) == 0.0
 
 
 def test_coherent_only_shot_noise():
@@ -28,17 +30,18 @@ def test_coherent_only_shot_noise():
     assert fm.f_dd == pytest.approx(4.0)
     assert fm.f_ss == pytest.approx(4.0)
     assert fm.f_sd == 0.0
-    assert qfi(fm) == pytest.approx(4.0)
+    assert qfi(sc) == pytest.approx(4.0)
 
 
 def test_squeezed_coherent_plus_squeezed_vacuum_example():
     # optimal phase relations with alpha=1, z=0.4, r=0.5: F_dd = e + sinh^2(0.9)
     port1 = GaussianPort.from_params(1.0, 0.0, 0.4, math.pi)
     port0 = GaussianPort.from_params(0.0, 0.0, 0.5, 0.0)
-    fm = fisher_matrix(MziScenario(port1, port0))
+    sc = MziScenario(port1, port0)
+    fm = fisher_matrix(sc)
     assert fm.f_sd == 0.0
     assert relerr(fm.f_dd, 3.77201841661768) < 1e-12
-    assert relerr(qfi(fm), math.e + math.sinh(0.9) ** 2) < 1e-12
+    assert relerr(qfi(sc), math.e + math.sinh(0.9) ** 2) < 1e-12
 
 
 def test_f_sd_vanishes_without_port0_displacement(rng):
@@ -51,10 +54,16 @@ def test_f_sd_vanishes_without_port0_displacement(rng):
             assert abs(fm.f_sd) < 1e-12
 
 
-def test_qfi_degenerate_matrix_guard():
-    with pytest.raises(DegenerateMatrix):
-        qfi(FisherMatrix(f_ss=0.0, f_dd=1.0, f_sd=0.5))
-    assert qfi(FisherMatrix(f_ss=0.0, f_dd=1.0, f_sd=0.0)) == 1.0
+def test_qfi_keeps_f_sd_of_small_amplitudes():
+    """F_sd counts at any scale: an absolute cut at F_ss < 1e-12 once dropped it (1.25e-14)."""
+    alpha, beta, theta_beta = 1e-7, 5e-8, 0.3
+    total = alpha ** 2 + beta ** 2  # F_ss = F_dd without squeezing; F_sd = 2 alpha beta sin(0.3)
+    expected = total - (2.0 * alpha * beta * math.sin(theta_beta)) ** 2 / total
+    assert relerr(expected, 1.1801342e-14, floor=0.0) < 1e-7
+    sc = MziScenario(GaussianPort.from_params(alpha), GaussianPort.from_params(beta, theta_beta))
+    assert relerr(qfi(sc), expected, floor=0.0) < 1e-12
+    closed = qfi_closed_form(alpha, beta, 0.0, 0.0, theta=0.0, phi_zeta=0.0, theta_beta=theta_beta)
+    assert relerr(closed, expected, floor=0.0) < 1e-12
 
 
 def test_qcrb_values_and_errors():
@@ -81,13 +90,13 @@ def test_pmc_closed_forms_reduce_and_cross_check():
     # frozen PMC3 values and generic-path agreement
     assert relerr(qfi_closed_form(1.0, 0.5, 0.5, 0.4, pmc=PmcSet.PMC3), 2.7969987881237) < 1e-12
     port1, port0 = apply_pmc(PmcSet.PMC3, 0.0, 1.0, 0.5, 0.5, 0.4)
-    generic = qfi(fisher_matrix(MziScenario(port1, port0)))
+    generic = qfi(MziScenario(port1, port0))
     assert relerr(generic, 2.7969987881237) < 1e-10
     # a strongly squeezed, strongly displaced point on the published curve
     big = qfi_closed_form(2.8, 20.0, 2.3, 2.2, pmc=PmcSet.PMC3)
     assert relerr(big, 32969.8291191279) < 1e-12
     ports = apply_pmc(PmcSet.PMC3, 0.0, 2.8, 20.0, 2.3, 2.2)
-    assert relerr(qfi(fisher_matrix(MziScenario(*ports))), big) < 1e-10
+    assert relerr(qfi(MziScenario(*ports)), big) < 1e-10
 
 
 @pytest.mark.parametrize("convention", list(BsConvention))
@@ -99,7 +108,7 @@ def test_closed_form_equals_generic_for_random_draws(pmc, convention, rng):
             beta = 0.0
         theta_alpha = rng.uniform(0.0, 2 * math.pi)
         port1, port0 = apply_pmc(pmc, theta_alpha, alpha, beta, r, z, convention)
-        generic = qfi(fisher_matrix(MziScenario(port1, port0, convention)))
+        generic = qfi(MziScenario(port1, port0, convention))
         closed = qfi_closed_form(alpha, beta, r, z, pmc=pmc)
         assert relerr(generic, closed) < 1e-10
 
@@ -111,7 +120,7 @@ def test_general_phase_closed_form_matches_generic(rng):
             ta, tb, th, pz = rng.uniform(0.0, 2 * math.pi, 4)
             port1 = GaussianPort.from_params(alpha, ta, z, pz)
             port0 = GaussianPort.from_params(beta, tb, r, th)
-            generic = qfi(fisher_matrix(MziScenario(port1, port0, conv)))
+            generic = qfi(MziScenario(port1, port0, conv))
             closed = qfi_closed_form(alpha, beta, r, z, convention=conv,
                                      theta_alpha=ta, theta=th, phi_zeta=pz, theta_beta=tb)
             assert relerr(generic, closed) < 1e-10
@@ -126,7 +135,7 @@ def test_pmc3_qfi_survives_large_amplitudes():
     """F_dd no longer loses its squeezing terms against |alpha|^2 |beta|^2 at 1e5."""
     for convention in BsConvention:
         ports = apply_pmc(PmcSet.PMC3, 0.0, 1e5, 1e5, 2.3, 2.2, convention)
-        value = qfi(fisher_matrix(MziScenario(*ports, convention)))
+        value = qfi(MziScenario(*ports, convention))
         assert relerr(value, 4091.19267, floor=0.0) < 1e-6
 
 
@@ -158,3 +167,40 @@ def test_pmc3_closed_form_matches_decimal_reference(rng):
         assert relerr(value, _pmc3_decimal(alpha, beta, r, z), floor=0.0) < 1e-12
     assert relerr(qfi_closed_form(1e6, 1e6, 2.3, 2.2, pmc=PmcSet.PMC3), 4091.19268,
                   floor=0.0) < 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_alpha=st.floats(-9.0, 7.0), log_beta=st.floats(-9.0, 7.0), near=st.integers(0, 3),
+       gap=st.floats(-12.0, -0.3), below=st.booleans(), r=st.floats(0.0, 2.3), z=st.floats(0.0, 2.3),
+       family=st.sampled_from(list(PmcSet) + [None]),
+       phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+       convention=st.sampled_from(list(BsConvention)))
+def test_qfi_matches_50_digit_reference(log_alpha, log_beta, near, gap, below, r, z, family,
+                                        phases, convention):
+    """qfi(scenario) against F_dd - F_sd^2/F_ss of the published elements in 50-digit mpmath.
+
+    The amplitudes are log-uniform in [1e-9, 1e7], a quarter of them with
+    |beta| within 1e-12 ... 0.5 relative of |alpha|; the reference is taken
+    at the scenario's own double phases.  The bound is 1e-9 relative plus the
+    backward error of the factor's columns, a few ulp of |F e_y| = sqrt(F_dd)
+    each: that term matters only where the QFI is below 1e-10 F_dd, as for
+    PMC3 at r = z = 0 and |alpha| ~ |beta|, where the QFI is set by the last
+    digits of the amplitudes (3.9e-7 relative at |alpha| - |beta| = 1e-6,
+    |alpha| = 1375, and QFI = 5e-19 F_dd).
+    """
+    alpha = 10.0 ** log_alpha
+    beta = alpha * (1.0 + (-1.0 if below else 1.0) * 10.0 ** gap) if near == 0 else 10.0 ** log_beta
+    theta_alpha, phi_zeta, theta_beta, theta = phases
+    if family is None:
+        ports = (GaussianPort.from_params(alpha, theta_alpha, z, phi_zeta),
+                 GaussianPort.from_params(beta, theta_beta, r, theta))
+    else:
+        ports = apply_pmc(family, theta_alpha, alpha, beta, r, z, convention)
+    sc = MziScenario(*ports, convention)
+    value = qfi(sc)
+    with mpmath.workdps(50):
+        f_ss, f_dd, f_sd = mp_fisher_elements(sc)
+        want = f_dd - f_sd ** 2 / f_ss
+        allowed = 1e-9 * want + 1e-14 * mpmath.sqrt(f_dd * want)
+        assert value >= 0.0
+        assert abs(value - want) <= allowed, (value, float(want), float(want / f_dd))

@@ -174,6 +174,11 @@ def test_general_scenario_mean_matches_closed_form():
     assert relerr(measure_stats(out, "n_diff"), -0.491799675253796) < 1e-8
 
 
+def _oracle_qfi(fm):
+    """F_dd - F_sd^2/F_ss of the oracle's own elements, without the closed-form path."""
+    return fm.f_dd - fm.f_sd ** 2 / fm.f_ss
+
+
 def test_numerical_fisher_examples():
     sc = MziScenario(GaussianPort.from_params(1.0), _vac())
     fm = numerical_fisher(sc, 40)
@@ -189,8 +194,8 @@ def test_numerical_fisher_examples():
     sc3 = MziScenario(port1, port0)
     fd = numerical_fisher(sc3, 60)
     closed = fisher_matrix(sc3)
-    assert relerr(qfi(fd), qfi(closed)) < 1e-4
-    assert relerr(qfi(fd), 2.123472941) < 1e-4
+    assert relerr(_oracle_qfi(fd), qfi(sc3)) < 1e-4
+    assert relerr(_oracle_qfi(fd), 2.123472941) < 1e-4
     assert relerr(abs(fd.f_sd), abs(closed.f_sd)) < 1e-4  # sign is convention bound
 
 
@@ -198,9 +203,8 @@ def test_numerical_fisher_cube_convention():
     port1, port0 = apply_pmc(PmcSet.PMC3, 0.0, 0.8, 0.5, 0.5, 0.4, BsConvention.CUBE)
     sc = MziScenario(port1, port0, BsConvention.CUBE)
     fd = numerical_fisher(sc, 60)
-    closed = fisher_matrix(sc)
-    assert relerr(qfi(fd), qfi(closed)) < 1e-4
-    assert relerr(qfi(fd), qfi_closed_form(0.8, 0.5, 0.5, 0.4, pmc=PmcSet.PMC3)) < 1e-4
+    assert relerr(_oracle_qfi(fd), qfi(sc)) < 1e-4
+    assert relerr(_oracle_qfi(fd), qfi_closed_form(0.8, 0.5, 0.5, 0.4, pmc=PmcSet.PMC3)) < 1e-4
 
 
 # --- the chain exponentials against a second, independent construction --------

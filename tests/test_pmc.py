@@ -5,7 +5,7 @@ import math
 import pytest
 
 from mzgauss.errors import UndefinedBoundary
-from mzgauss.fisher import fisher_matrix, qfi, qfi_closed_form
+from mzgauss.fisher import qfi, qfi_closed_form
 from mzgauss.interferometer import BsConvention, MziScenario
 from mzgauss.pmc import (PmcSet, apply_pmc, boundaries, classify,
                          grid_search_qfi, single_mode_alpha_lim)
@@ -101,10 +101,10 @@ def test_pmc1_anti_phase_sign_is_immaterial():
     alpha, beta, r, z = 1.2, 0.4, 0.7, 0.5
     port1, port0 = apply_pmc(PmcSet.PMC1, 0.0, alpha, beta, r, z)
     theta = port0.squeeze.phase
-    plus = qfi(fisher_matrix(MziScenario(port1, port0)))
+    plus = qfi(MziScenario(port1, port0))
     port1_minus = GaussianPort.from_params(alpha, 0.0, z, theta - math.pi)
     assert port1_minus.squeeze.phase == pytest.approx(port1.squeeze.phase)
-    minus = qfi(fisher_matrix(MziScenario(port1_minus, port0)))
+    minus = qfi(MziScenario(port1_minus, port0))
     assert plus == pytest.approx(minus, rel=1e-14)
     assert plus == pytest.approx(qfi_closed_form(alpha, beta, r, z, pmc=PmcSet.PMC1), rel=1e-12)
 
@@ -149,7 +149,7 @@ def test_pmc3_dip_near_equal_amplitudes():
 def test_cube_remap_preserves_the_optimum():
     alpha, beta, r, z = 1.4, 0.7, 0.9, 0.6
     for pmc in (PmcSet.PMC1, PmcSet.PMC2, PmcSet.PMC3):
-        sym = qfi(fisher_matrix(MziScenario(*apply_pmc(pmc, 0.3, alpha, beta, r, z))))
+        sym = qfi(MziScenario(*apply_pmc(pmc, 0.3, alpha, beta, r, z)))
         port1, port0 = apply_pmc(pmc, 0.3, alpha, beta, r, z, BsConvention.CUBE)
-        cube = qfi(fisher_matrix(MziScenario(port1, port0, BsConvention.CUBE)))
+        cube = qfi(MziScenario(port1, port0, BsConvention.CUBE))
         assert relerr(sym, cube) < 1e-10
