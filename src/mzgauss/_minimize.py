@@ -1,26 +1,27 @@
-"""Tiny 1-D minimizer: coarse scan plus golden-section refinement."""
+"""The one minimizer of the library: lockstep grid refinement of many 1-D minima at once."""
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_OFFSETS = np.arange(-16, 17) / 16.0  # grid of one level, in units of its half-width
 
 
-def golden_minimize(fn, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section search for the minimum of fn on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+def grid_minimize(fn, center, half: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Refine a minimum of ``fn`` near each entry of ``center``, all rows in lockstep.
+
+    Each level evaluates ``fn`` on a ``(rows, 33)`` array, 33 points evenly over
+    center +- half per row, keeps each row's argmin as its center and narrows
+    ``half`` 16-fold.  ``fn`` treats rows independently.  The center is a grid
+    point, so no row ends worse than it starts (unless ``fn`` gives nan).
+    Returns the final centers and their values.
+    """
+    center = np.asarray(center, dtype=float)
+    rows = np.arange(center.size)
+    for _ in range(levels):
+        trial = center[:, None] + half * _OFFSETS
+        values = fn(trial)
+        pick = values.argmin(axis=1)
+        center, low = trial[rows, pick], values[rows, pick]
+        half /= 16.0
+    return center, low

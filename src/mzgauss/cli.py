@@ -85,12 +85,19 @@ def parse_angle(value, key: str = "") -> float:
         raise ConfigError(f"field {key}: cannot parse angle {value!r}") from None
 
 
+def _non_negative(value: float, key: str) -> float:
+    """Every number but an angle is a magnitude, a count or a seed."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"field {key}: expected a finite number >= 0, got {fmt(value)}")
+    return value
+
+
 def _parse_number(value, key: str) -> float:
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"field {key}: expected a number, got {value!r}") from None
-    return _finite(number, key)
+    return _non_negative(number, key)
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -166,10 +173,6 @@ def _normalized(cfg: dict) -> dict:
 
 def build_scenario(cfg: dict, n: dict) -> MziScenario:
     """The scenario of a config, read from ``n``, its :func:`_normalized` view."""
-    for key in ("port1.alpha.magnitude", "port1.zeta.factor", "port0.beta.magnitude",
-                "port0.xi.factor"):  # which the port constructors refuse with a ValueError
-        if n[key] < 0.0:
-            raise ConfigError(f"field {key}: expected a finite number >= 0, got {fmt(n[key])}")
     try:
         convention = BsConvention(n["convention"])
     except ValueError:
@@ -206,14 +209,19 @@ def fmt(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
+    return f"{float(x):.12g}"
 
 
 def _config_comment(normalized: dict) -> str:
     return "# config: " + json.dumps(normalized, sort_keys=True)
+
+
+def _limit_comments(limits) -> list[str]:
+    return [f"# alpha_lim_13 = {fmt(limits.alpha_13)}",
+            f"# alpha_lim_23 = {fmt(limits.alpha_23)}",
+            f"# alpha_lim_circ = {fmt(limits.alpha_circ)}",
+            f"# beta_lim_12 = {fmt(limits.beta_12)}",
+            f"# alpha_lim_single = {fmt(limits.alpha_lim_single)}"]
 
 
 def _write_csv(stream: IO[str], comments: list[str], header: list[str], rows) -> None:
@@ -226,21 +234,18 @@ def _write_csv(stream: IO[str], comments: list[str], header: list[str], rows) ->
 
 # --- subcommands --------------------------------------------------------------
 
+def _bound(fisher_value: float, shots: int) -> float:
+    return qcrb(fisher_value, shots) if fisher_value > 0 else math.inf
+
+
 def cmd_qfi(cfg: dict, out: IO[str], err: IO[str]) -> int:
     n = _normalized(cfg)
     scenario = build_scenario(cfg, n)
     fm = fisher_matrix(scenario)
     value = qfi(scenario)
-    bound = qcrb(value, n["shots"]) if value > 0 else math.inf
+    bound = _bound(value, n["shots"])
     limits = boundaries(scenario.port0.squeeze.factor, scenario.port1.squeeze.factor)
-    comments = [
-        _config_comment(n),
-        f"# alpha_lim_13 = {fmt(limits.alpha_13)}",
-        f"# alpha_lim_23 = {fmt(limits.alpha_23)}",
-        f"# alpha_lim_circ = {fmt(limits.alpha_circ)}",
-        f"# beta_lim_12 = {fmt(limits.beta_12)}",
-        f"# alpha_lim_single = {fmt(limits.alpha_lim_single)}",
-    ]
+    comments = [_config_comment(n), *_limit_comments(limits)]
     _write_csv(out, comments, ["f_ss", "f_dd", "f_sd", "qfi", "qcrb"],
                [[fm.f_ss, fm.f_dd, fm.f_sd, value, bound]])
     err.write(f"qfi: F = {fmt(value)}, QCRB = {fmt(bound)} at {n['shots']} shot(s)\n")
@@ -249,11 +254,6 @@ def cmd_qfi(cfg: dict, out: IO[str], err: IO[str]) -> int:
 
 _SWEEP_KEYS = {"phi": "phase", "alpha": "port1.alpha.magnitude",
                "beta": "port0.beta.magnitude", "eta": "efficiency"}
-
-
-def _bound(scenario: MziScenario, shots: int) -> float:
-    fisher_value = qfi(scenario)
-    return qcrb(fisher_value, shots) if fisher_value > 0 else math.inf
 
 
 def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: IO[str]) -> int:
@@ -274,14 +274,14 @@ def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: 
     # every column is one array over the grid: one kernel pass per scheme
     if axis in ("alpha", "beta"):
         scenarios = [scenario_at(value) for value in grid]
-        bounds = [_bound(scenario, n["shots"]) for scenario in scenarios]
+        bounds = [_bound(qfi(scenario), n["shots"]) for scenario in scenarios]
         columns = [detection.working_points(scheme, scenarios)[1].tolist() for scheme in schemes]
         columns.append(bounds)
         tail = "\n"
     else:
         # neither the phase nor the efficiency enters the ports or the Fisher matrix
         base = scenario_at(grid[0])
-        tail = "," + fmt(_bound(base, n["shots"])) + "\n"  # the same bound on every row
+        tail = "," + fmt(_bound(qfi(base), n["shots"])) + "\n"  # the same bound on every row
         if axis == "phi":
             columns = [detection.sensitivities(scheme, base, grid) for scheme in schemes]
         else:
@@ -316,8 +316,6 @@ def _boundary_at(curve, alpha: float):
 def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
                 beta_min: float, beta_max: float, points: int, spacing: str,
                 out: IO[str], err: IO[str]) -> int:
-    if r < 0 or z < 0:
-        raise ConfigError("squeeze factors r and z must be >= 0")
     if points < 1:
         raise ConfigError("regimes requires points >= 1")
     limits = boundaries(r, z)
@@ -326,7 +324,7 @@ def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
         if points == 1:
             return np.array([lo])
         if spacing == "log":
-            if lo <= 0:
+            if min(lo, hi) <= 0:
                 raise ConfigError("log spacing requires positive axis bounds")
             return np.geomspace(lo, hi, points)
         return np.linspace(lo, hi, points)
@@ -335,11 +333,7 @@ def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
     betas = axis(beta_min, beta_max)
     comments = [
         f"# config: {json.dumps({'r': r, 'z': z, 'alpha_min': alpha_min, 'alpha_max': alpha_max, 'beta_min': beta_min, 'beta_max': beta_max, 'points': points, 'spacing': spacing}, sort_keys=True)}",
-        f"# alpha_lim_13 = {fmt(limits.alpha_13)}",
-        f"# alpha_lim_23 = {fmt(limits.alpha_23)}",
-        f"# alpha_lim_circ = {fmt(limits.alpha_circ)}",
-        f"# beta_lim_12 = {fmt(limits.beta_12)}",
-        f"# alpha_lim_single = {fmt(limits.alpha_lim_single)}",
+        *_limit_comments(limits),
         f"# beta_lim_23(alpha_circ) = {fmt(_boundary_at(limits.beta_23, limits.alpha_circ))}",
         f"# beta_lim_13(alpha_circ) = {fmt(_boundary_at(limits.beta_13, limits.alpha_circ))}",
     ]
@@ -389,9 +383,13 @@ def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
         raise ConfigError(f"--fractions: {exc}") from None
 
     asymptotic = asymptotic_qfi(family, fractions)
+    # the leading order is <N_tot>^2 times its value at <N_tot> = 1, which no underflow zeroes
+    ratio = asymptotic_qfi(family, PowerFractions(*vals, n_tot=1.0))
     alpha, beta, r, z = fractions.to_magnitudes()
     exact = qfi_closed_form(alpha, beta, r, z, pmc=family)
-    n2 = n_tot ** 2
+    exact_ratio = exact / n_tot / n_tot
+    if math.isinf(exact_ratio):  # about 1 / n_tot, past the double range below n_tot = 1e-308
+        raise NumericalOverflow(f"F/<N_tot>^2 overflows at n_tot = {fmt(n_tot)}")
     comments = [
         f"# config: {json.dumps({'pmc': family.value, 'fractions': vals, 'n_tot': n_tot}, sort_keys=True)}",
     ]
@@ -400,8 +398,8 @@ def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
     _write_csv(out, comments,
                ["f_alpha", "f_beta", "f_r", "f_z", "n_tot",
                 "asymptotic_qfi", "asymptotic_ratio", "exact_qfi", "exact_ratio"],
-               [[*vals, n_tot, asymptotic, asymptotic / n2, exact, exact / n2]])
-    err.write(f"heisenberg: {family.value} asymptotic F/N^2 = {fmt(asymptotic / n2)}\n")
+               [[*vals, n_tot, asymptotic, ratio, exact, exact_ratio]])
+    err.write(f"heisenberg: {family.value} asymptotic F/N^2 = {fmt(ratio)}\n")
     return 0
 
 
@@ -547,9 +545,9 @@ def main(argv=None) -> int:
     err = sys.stderr
 
     try:
-        for name, value in vars(args).items():  # every float flag, e.g. --r or --n-tot
-            if isinstance(value, float):
-                _finite(value, "--" + name.replace("_", "-"))
+        for name, value in vars(args).items():  # every number flag, e.g. --r or --seed
+            if isinstance(value, (int, float)):
+                _non_negative(value, "--" + name.replace("_", "-"))
         if args.output:
             out = open(args.output, "w", encoding="utf-8", newline="\n")
         else:

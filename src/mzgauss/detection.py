@@ -30,9 +30,10 @@ from typing import Union
 
 import numpy as np
 
+from ._minimize import grid_minimize
 from .errors import FlatObjective, NumericalOverflow
 from .interferometer import MziScenario
-from .states import TWO_PI, quadrature_noise
+from .states import TWO_PI, drop_residue, quadrature_noise
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ def _terms(scheme: DetectionScheme, scenario: MziScenario) -> tuple:
         # a port's quadrature variance at angle phi_l is a quarter of its noise along e^{i phi_l}
         q0, q1 = (0.25 * (root * root + (axis * rot.conjugate()).imag ** 2)
                   for root, axis in map(quadrature_noise, (p0, p1)))
-        return (rot * p0.mean_a).real, (rot * p1.mean_a).real, q0, q1
+        quad0, quad1 = (drop_residue((rot * p.mean_a).real, abs(p.mean_a)) for p in (p0, p1))
+        return quad0, quad1, q0, q1
     columns, (total, jx, _, jz) = scenario.factor
     if isinstance(scheme, DifferenceIntensity):
         # n5 - n4 = cos(phi) Jz + sin(phi) Jx, and n4 + n5 = N is conserved
@@ -141,7 +143,7 @@ def _kernel(scheme: DetectionScheme, terms, phi, excess):
                 mean = u.real ** 2 + u.imag ** 2 + (sin_half ** 2 * dn0 + cos_half ** 2 * dn1)
                 detected, weight = mean, 0.25
             var = weight * np.einsum("...i,...i->...", rows, rows) + excess * detected
-    if not math.isfinite(var.max()):  # inf, or nan from an infinite loss term times 0
+    if var.size and not math.isfinite(var.max()):  # inf, or nan from an infinite loss term times 0
         raise NumericalOverflow("a detection variance overflows")
     return mean, var, slope
 
@@ -218,7 +220,6 @@ _TRIM = 1e-12   # stationarity coefficients at or below this share of the larges
 _TIE = 1e-12    # a candidate must be lower by more than this relative margin to win
 _POLISH = 1e-3  # half-width in rad of the refinement window around the winner
 _LEVELS = 7     # refinement levels; each shrinks the window 16-fold, to 3.7e-12 rad spacing
-_OFFSETS = np.arange(-16, 17) / 16.0  # grid of one level, in units of its half-width
 _FRINGE = 1e-5  # a port-4 amplitude below this share of its terms has cancelled
 _NUDGE = 4e-5   # rad from a dark-fringe root to where its value is judged
 
@@ -316,17 +317,14 @@ def _working_points(scheme: DetectionScheme, terms, excess):
         best_phi = np.where(wins, phi, best_phi)
         best_value = np.where(wins, value, best_value)
 
-    # lockstep grid refinement around every winner, kept where it is lower
-    center, low, half = best_phi, best_value, _POLISH
-    rows = np.arange(live.size)
-    for _ in range(_LEVELS):
-        trial = center[:, None] + half * _OFFSETS
+    def objective(trial):
         trial_values = _delta_phi(*_kernel(scheme, terms, trial % TWO_PI, excess)[1:])
         if isinstance(scheme, SingleModeIntensity):
             trial_values[_dark_fringe(terms, trial)] = math.inf
-        pick = trial_values.argmin(axis=1)
-        center, low = trial[rows, pick], trial_values[rows, pick]
-        half /= 16.0
+        return trial_values
+
+    # lockstep grid refinement around every winner, kept where it is lower
+    center, low = grid_minimize(objective, best_phi, _POLISH, _LEVELS)
     wins = low < best_value * (1.0 - _TIE)
     phase[live] = np.where(wins, center % TWO_PI, best_phi)
     best[live] = np.where(wins, low, best_value)

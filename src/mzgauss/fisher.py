@@ -118,15 +118,6 @@ def phase_fisher_elements(alpha, beta, r, z, theta, phi_zeta, theta_beta,
     return f_ss, f_dd, f_sd
 
 
-def qfi_from_elements(f_ss, f_dd, f_sd):
-    """Vector-friendly F_dd - F_sd^2 / F_ss; F_ss = 0 (two vacua, where F_sd = 0) gives F_dd."""
-    f_ss = np.asarray(f_ss, dtype=float)
-    vacua = f_ss == 0.0
-    corr = np.where(vacua, 0.0, np.asarray(f_sd) ** 2 / np.where(vacua, 1.0, f_ss))
-    out = np.asarray(f_dd) - corr
-    return float(out) if out.ndim == 0 else out
-
-
 def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     """Optimal QFIs of the families PMC1, PMC2 and PMC3, stacked along axis 0.
 
@@ -177,19 +168,21 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
 
 def qfi_closed_form(alpha: float, beta: float, r: float, z: float,
                     pmc=None, convention: BsConvention = BsConvention.SYMMETRIC,
-                    *, theta_alpha: float = 0.0, theta: float | None = None,
-                    phi_zeta: float | None = None, theta_beta: float | None = None) -> float:
+                    *, theta_alpha=0.0, theta=None, phi_zeta=None, theta_beta=None):
     """QFI from the published closed forms.
 
     With ``pmc`` given, evaluates that family's optimal-value expression (the
     value is convention independent; only the realizing phases move) as one
     entry of :func:`pmc_qfis`; the squeezed-vacuum families share the PMC1
     and PMC2 expressions.  With ``pmc=None`` the three explicit phases are
-    required and the general-phase element expressions are combined.
+    required and the general-phase elements of :func:`phase_fisher_elements`
+    are combined to F_dd - F_sd^2 / F_ss (F_dd where F_ss = 0, at two vacua).
+    The phases are scalars, giving a float, or broadcastable numpy arrays,
+    giving an array.
     """
-    from .pmc import PmcSet
-
     if pmc is not None:
+        from .pmc import PmcSet
+
         if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
             row = 0
         elif pmc in (PmcSet.PMC2, PmcSet.SQZVAC_WIDEBAND):
@@ -209,4 +202,8 @@ def qfi_closed_form(alpha: float, beta: float, r: float, z: float,
     f_ss, f_dd, f_sd = phase_fisher_elements(
         alpha, beta, r, z, theta, phi_zeta, theta_beta, theta_alpha, convention
     )
-    return qfi_from_elements(f_ss, f_dd, f_sd)
+    f_ss = np.asarray(f_ss, dtype=float)
+    vacua = f_ss == 0.0  # two vacua, where F_sd = 0 and the QFI is F_dd
+    corr = np.where(vacua, 0.0, np.asarray(f_sd) ** 2 / np.where(vacua, 1.0, f_ss))
+    out = np.asarray(f_dd) - corr
+    return float(out) if out.ndim == 0 else out

@@ -3,8 +3,9 @@
 Three families of input phase relations each maximize the QFI in a region of
 the (|alpha|, |beta|) plane; the boundary amplitudes below are the exact
 crossing points of the corresponding closed-form QFI expressions.  The
-brute-force grid maximizer over the three free phase differences validates the
-analytic families.
+brute-force grid maximizer over the three free phase differences, refined
+with the lockstep grid of :func:`_minimize.grid_minimize` that the working-point
+optimizer also uses, validates the analytic families.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import golden_minimize
+from ._minimize import grid_minimize
 from .errors import NumericalOverflow, UndefinedBoundary
-from .fisher import phase_fisher_elements, pmc_qfis, qfi_from_elements
+from .fisher import pmc_qfis, qfi_closed_form
 from .interferometer import BsConvention
 from .states import TWO_PI, GaussianPort
 
@@ -110,7 +111,8 @@ class RegimeBoundaries:
         if s2z == 0.0:
             raise UndefinedBoundary("beta_13 undefined for z = 0")
         e2r, e2z = math.exp(2.0 * self.r), math.exp(2.0 * self.z)
-        lead = alpha ** 2 * (2.0 * e2r * math.cosh(self.r - self.z) ** 2 / s2z - 1.0)
+        factor = 2.0 * e2r * math.cosh(self.r - self.z) ** 2 / s2z - 1.0  # inf at a subnormal s2z
+        lead = alpha ** 2 * factor if alpha else 0.0
         tail = self.s_helper / e2z
         radicand = lead - tail
         if radicand < 0.0:
@@ -174,13 +176,6 @@ def classify(alpha: float, beta: float, r: float, z: float) -> PmcSet:
     return REGIME_FAMILIES[int(best)]
 
 
-def _grid_qfi(alpha, beta, r, z, theta, phi_zeta, theta_beta, convention):
-    f_ss, f_dd, f_sd = phase_fisher_elements(
-        alpha, beta, r, z, theta, phi_zeta, theta_beta, 0.0, convention
-    )
-    return qfi_from_elements(f_ss, f_dd, f_sd)
-
-
 def grid_search_qfi(alpha: float, beta: float, r: float, z: float,
                     resolution: int = 32,
                     convention: BsConvention = BsConvention.SYMMETRIC,
@@ -189,35 +184,35 @@ def grid_search_qfi(alpha: float, beta: float, r: float, z: float,
 
     theta_alpha is fixed to 0 (a joint rotation of all phases leaves the QFI
     unchanged); the lattice covers (theta, phi_zeta, theta_beta) in [0, 2pi)^3.
-    Returns the refined best phase triple and its QFI.
+    Three rounds over the phases refine the best lattice point one phase at a
+    time, by :func:`_minimize.grid_minimize` of the negated QFI.  Every value
+    is the general-phase closed form of :func:`fisher.qfi_closed_form`, not
+    the Gram factor.  Returns the refined best phase triple and its QFI.
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     axis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
 
     best_val = -math.inf
-    best = (0.0, 0.0, 0.0)
+    point = [0.0, 0.0, 0.0]
     pz = axis[:, None]
     tb = axis[None, :]
     for th in axis:  # slab over theta keeps memory flat
-        vals = _grid_qfi(alpha, beta, r, z, th, pz, tb, convention)
+        vals = qfi_closed_form(alpha, beta, r, z, convention=convention,
+                               theta=th, phi_zeta=pz, theta_beta=tb)
         k = int(np.argmax(vals))
         if vals.flat[k] > best_val:
             best_val = float(vals.flat[k])
-            best = (float(th), float(axis[k // resolution]), float(axis[k % resolution]))
+            point = [float(th), float(axis[k // resolution]), float(axis[k % resolution])]
 
-    step = TWO_PI / resolution
-    point = list(best)
-    for _ in range(3):  # coordinate-wise golden refinement
+    for _ in range(3):  # coordinate-wise refinement within one lattice step
         for i in range(3):
-            def neg(x, i=i):
-                trial = list(point)
-                trial[i] = x
-                return -_grid_qfi(alpha, beta, r, z, *trial, convention)
+            def neg(trial, i=i):
+                theta, phi_zeta, theta_beta = point[:i] + [trial] + point[i + 1:]
+                return -qfi_closed_form(alpha, beta, r, z, convention=convention, theta=theta,
+                                        phi_zeta=phi_zeta, theta_beta=theta_beta)
 
-            x, fx = golden_minimize(neg, point[i] - step, point[i] + step, tol=1e-10)
-            if -fx >= best_val:
-                point[i] = x
-                best_val = -fx
+            # nine levels, each 16-fold, from one lattice step (<= 2 pi / 8): below 1e-10 rad
+            (point[i],), (low,) = grid_minimize(neg, [point[i]], TWO_PI / resolution, 9)
     phases = tuple(float(x % TWO_PI) for x in point)
-    return phases, best_val
+    return phases, -float(low)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,12 @@ def port_moments(port: GaussianPort) -> PortMoments:
     return PortMoments(gamma, mean_n, sh2, dm)
 
 
+def drop_residue(part: float, size: float) -> float:
+    """0 for a part below 4 ulp of ``size``, the magnitude of what it is formed from: the rounding
+    left of an exact 0, e.g. of Re(a0* a1) at amplitudes pi/2 apart, not a slope of the mean."""
+    return 0.0 if abs(part) < 4.0 * sys.float_info.epsilon * size else part
+
+
 def quadrature_noise(p: PortMoments) -> tuple[float, complex]:
     """(e^{-s}, axis) of a port: its quadrature noise along an amplitude u,
     (2 dn + 1)|u|^2 + 2 Re(u*^2 dm), is the sum of squares (e^{-s}|u|)^2 + Im(axis u)^2.
@@ -176,5 +183,6 @@ def number_factor(p0: PortMoments, p1: PortMoments) -> tuple[np.ndarray, tuple]:
                + [0.0, 0.0, 0.0, gap, pair.imag],
                linear(a0, -a1) + [v0, -v1, 0.0, 0.0, 0.0])
     cross = a0.conjugate() * a1
-    means = (p0.mean_n + p1.mean_n, 2.0 * cross.real, 2.0 * cross.imag, p0.mean_n - p1.mean_n)
+    jx, jy = (2.0 * drop_residue(part, abs(a0) * abs(a1)) for part in (cross.real, cross.imag))
+    means = (p0.mean_n + p1.mean_n, jx, jy, p0.mean_n - p1.mean_n)
     return np.array(columns), means

@@ -1,8 +1,13 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
+from mzgauss.detection import sensitivities, sensitivity
 from mzgauss.interferometer import BsConvention
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def relerr(a: float, b: float, floor: float = 1.0) -> float:
@@ -42,3 +47,35 @@ def mp_fisher_elements(scenario):
                            - 2 * (1 + mpmath.sinh(r) ** 2 + mpmath.sinh(z) ** 2)
                            * mpmath.sin(theta_alpha - theta_beta))
     return f_ss, f_dd, f_sd
+
+
+def _golden_minimize(fn, lo, hi, tol):
+    """Golden-section search for the minimum of fn on [lo, hi]: (x, fn(x))."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def scan_optimum(scheme, scenario, points=4000):
+    """(phase, Delta phi) of an independent optimum: a dense phase scan, then a
+    golden-section refinement of its best point with the scalar ``sensitivity``.
+
+    It shares no search code with the optimizer, which refines on a grid.
+    """
+    phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
+    k = int(np.argmin(sensitivities(scheme, scenario, phis)))
+    step = 2 * math.pi / points
+    return _golden_minimize(lambda p: sensitivity(scheme, scenario.with_phase(p)).delta_phi,
+                            phis[k] - step, phis[k] + step, tol=1e-12)

@@ -15,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzgauss import detection
-from mzgauss._minimize import golden_minimize
 from mzgauss.cli import _normalized, build_scenario, fmt, load_config, main, parse_angle
 from mzgauss.detection import (DifferenceIntensity, Homodyne, SingleModeIntensity,
-                               optimal_working_point, sensitivities, sensitivity)
+                               optimal_working_point, sensitivity)
 from mzgauss.errors import FlatObjective
 from mzgauss.fisher import qcrb, qfi, qfi_closed_form
 from mzgauss.pmc import PmcSet, classify
+
+from conftest import scan_optimum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -233,6 +234,12 @@ def test_verify_truncation_exit_code(capsys):
     ["heisenberg", "--pmc", "pmc2", "--fractions", "1/6,1/6,1/3,1/3", "--n-tot", "inf"],
     ["verify", "--samples", "1", "--alpha-max", "nan"],
     ["verify", "--samples", "1", "--squeeze-max", "inf"],
+    # once a ValueError traceback from numpy's generator each
+    ["verify", "--samples", "1", "--phases", "-1"],
+    ["verify", "--samples", "1", "--seed", "-1"],
+    ["verify", "--samples", "1", "--alpha-max", "-1"],
+    ["verify", "--samples", "1", "--beta-max", "-1"],
+    ["verify", "--samples", "1", "--squeeze-max", "-1"],
     ["qfi", "--set", "port1.alpha.magnitude=-1"],
     ["qfi", "--set", "port0.xi.factor=-1"],
     ["sweep", "--axis", "alpha", "--start", "-1", "--stop", "1", "--steps", "3"],
@@ -273,6 +280,8 @@ def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
     ["regimes", "--r", "400", "--z", "1"],
     ["regimes", "--r", "2.3", "--z", "2.2", "--alpha-max", "1e200", "--points", "2"],
     ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e308"],
+    # exact_ratio, about 1 / n_tot, leaves the double range
+    ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e-310"],
 ])
 def test_overflow_exits_3_before_any_row(argv, capsys):
     assert main(argv) == 3
@@ -394,15 +403,6 @@ def test_phase_and_efficiency_sweeps_equal_scalar_sensitivity(seed, capsys):
         assert rows == expected, (axis, sets)
 
 
-def _scan_reference(scheme, scenario, points=4000):
-    """Independent optimum: a dense phase scan plus a golden refinement of its best point."""
-    phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    k = int(np.argmin(sensitivities(scheme, scenario, phis)))
-    step = 2 * math.pi / points
-    return golden_minimize(lambda p: sensitivity(scheme, scenario.with_phase(p)).delta_phi,
-                           phis[k] - step, phis[k] + step, tol=1e-12)[1]
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_amplitude_sweep_optima_match_scan_reference(seed, capsys):
     """Batched working points: each row is the one-row optimum and matches a dense scan."""
@@ -423,7 +423,7 @@ def test_amplitude_sweep_optima_match_scan_reference(seed, capsys):
         for cell, scheme in zip(row[1:4], SCHEMES):
             point = optimal_working_point(scheme, scenario)
             assert cell == fmt(point.delta_phi)
-            reference = _scan_reference(scheme, scenario)
+            reference = scan_optimum(scheme, scenario)[1]
             assert abs(point.delta_phi - reference) <= 1e-12 * reference, (scheme, value)
 
 
@@ -488,51 +488,62 @@ _FUZZ_KEYS = ("port1.alpha.magnitude", "port1.alpha.phase", "port1.zeta.factor",
               "port1.zeta.phase", "port0.beta.magnitude", "port0.beta.phase",
               "port0.xi.factor", "port0.xi.phase", "phase", "homodyne.local_phase",
               "efficiency", "shots")
-_FUZZ_VALUES = ("-1", "0", "1e-300", "0.5", "3", "200", "1e5", "1e153", "1e200", "nan", "inf",
-                "1e400")
+_FUZZ_VALUES = ("-1", "0", "1e-310", "1e-300", "0.5", "3", "200", "1e5", "1e153", "1e200", "nan",
+                "inf", "1e400")
 _FUZZ_FAMILIES = (None,) + tuple(family.value for family in PmcSet)
+_FUZZ_SCHEMES = (None, "df", "sg", "hom", "difference,homodyne", "single,sg", "", "bogus")
+
+
+def _run_contract(argv, codes):
+    """Run ``main(argv)`` in-process; its exit code is one of ``codes``, with no
+    traceback and no nan on stdout.  Returns the code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in codes, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue(), argv
+    return code, out.getvalue()
 
 
 @settings(max_examples=400, deadline=None)
 # F_sd^2 overflows a float: once an OverflowError traceback
 @example(command="qfi", values={"port1.alpha.magnitude": "1e153",
                                 "port0.beta.magnitude": "1e153", "port0.beta.phase": "0.5"},
-         pmc=None, convention="symmetric")
+         pmc=None, convention="symmetric", scheme=None)
 # a variance that underflows, and the dark fringe of two equal coherent inputs
 # at phi = pi/2: both once a Delta phi of 0 and a ValueError traceback
 @example(command="phi", values={"port1.alpha.magnitude": "1e-300", "port0.beta.magnitude": "1e5"},
-         pmc=None, convention="symmetric")
+         pmc=None, convention="symmetric", scheme=None)
 @example(command="phi", values={"port1.alpha.magnitude": "1e5", "port0.beta.magnitude": "1e5"},
-         pmc=None, convention="symmetric")
+         pmc=None, convention="symmetric", scheme=None)
 # a detection variance that overflows: once inf cells, exit 0 and a RuntimeWarning
 @example(command="phi", values={"port1.alpha.magnitude": "1e153", "efficiency": "1e-300"},
-         pmc=None, convention="symmetric")
+         pmc=None, convention="symmetric", scheme=None)
 @given(command=st.sampled_from(("qfi", "phi")),
        values=st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)),
-       pmc=st.sampled_from(_FUZZ_FAMILIES), convention=st.sampled_from(("symmetric", "cube")))
-def test_cli_contract_holds_for_every_number(command, values, pmc, convention):
+       pmc=st.sampled_from(_FUZZ_FAMILIES), convention=st.sampled_from(("symmetric", "cube")),
+       scheme=st.sampled_from(_FUZZ_SCHEMES))
+def test_cli_contract_holds_for_every_number(command, values, pmc, convention, scheme):
     """Exit 0, 2 or 3 and no traceback, whatever numbers the keys get; no nan is printed.
 
     Any subset of the keys is set, the rest keep their defaults, under any
-    family (or none) and either convention.  An exit 0 of ``qfi`` prints a
-    finite, non-negative QFI and its QCRB 1/sqrt(shots QFI), or inf at QFI 0.
+    family (or none), either convention and any scheme list (or the default).
+    An exit 0 of ``qfi`` prints a finite, non-negative QFI and its QCRB
+    1/sqrt(shots QFI), or inf at QFI 0.
     """
     argv = ["qfi"] if command == "qfi" else _argv("phi", "0", "2*pi", 5, [])
     argv += ["--set", f"convention={convention}"] + ([] if pmc is None else ["--set", f"pmc={pmc}"])
+    argv += [] if scheme is None else ["--set", f"scheme={scheme}"]
     for key, value in values.items():
         argv += ["--set", f"{key}={value}"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    assert "nan" not in out.getvalue(), argv
+    code, out = _run_contract(argv, (0, 2, 3))
     if code == 0 and command == "qfi":
-        header, rows = _rows(out.getvalue())
+        header, rows = _rows(out)
         record = dict(zip(header, rows[0]))
         value, bound = float(record["qfi"]), float(record["qcrb"])
         assert math.isfinite(value) and value >= 0.0, argv
-        shots = json.loads(_comments(out.getvalue())[0].removeprefix("# config: "))["shots"]
+        shots = json.loads(_comments(out)[0].removeprefix("# config: "))["shots"]
         if value == 0.0:
             assert bound == math.inf, argv
         else:  # both cells are printed to 12 digits
@@ -587,3 +598,84 @@ def test_sweep_kernel_calls_do_not_grow_with_steps(monkeypatch, capsys):
     assert count("phi", 64) == count("phi", 2) == len(SCHEMES)
     assert count("eta", 64) == count("eta", 2) == len(SCHEMES)
     assert count("alpha", 9) == count("alpha", 2) == count("beta", 17)
+
+
+_REGIMES_FLAGS = ("--r", "--z", "--alpha-min", "--alpha-max", "--beta-min", "--beta-max")
+
+
+@settings(max_examples=150, deadline=None)
+# a bound of 0 or below under log spacing: once a ValueError traceback and once nan rows
+@example(values={"--alpha-max": "0"}, points=2, spacing="log")
+@example(values={"--alpha-max": "-1"}, points=3, spacing="log")
+# a subnormal z: once a nan in the beta_lim_13(alpha_circ) comment, from 0 * inf at alpha = 0
+@example(values={"--r": "0", "--z": "1e-310"}, points=1, spacing="log")
+@given(values=st.dictionaries(st.sampled_from(_REGIMES_FLAGS), st.sampled_from(_FUZZ_VALUES)),
+       points=st.integers(1, 4), spacing=st.sampled_from(("log", "linear")))
+def test_regimes_contract_holds_for_every_number(values, points, spacing):
+    """``regimes`` exits 0, 2 or 3 without a traceback or a nan, whatever its float flags get."""
+    values = {"--r": "1", "--z": "1", **values}  # both are required
+    argv = ["regimes", "--points", str(points), "--spacing", spacing]
+    _run_contract(argv + [f"{flag}={value}" for flag, value in values.items()], (0, 2, 3))
+
+
+@settings(max_examples=100, deadline=None)
+# n_tot^2 underflows to 0: once a ZeroDivisionError traceback in the ratio columns
+@example(n_tot="1e-170", pmc="pmc2", fractions="1/4,1/4,1/4,1/4")
+@given(n_tot=st.sampled_from(_FUZZ_VALUES),
+       pmc=st.sampled_from([family.value for family in PmcSet]),
+       fractions=st.sampled_from(("1/4,1/4,1/4,1/4", "1/2,0,1/2,0", "0,0,1/2,1/2", "1,0,0,0",
+                                  "1/6,1/6,1/3,1/3")))
+def test_heisenberg_contract_holds_for_every_number(n_tot, pmc, fractions):
+    """``heisenberg`` exits 0, 2 or 3 without a traceback or a nan, whatever ``--n-tot`` gets."""
+    _run_contract(["heisenberg", "--pmc", pmc, "--fractions", fractions, f"--n-tot={n_tot}"],
+                  (0, 2, 3))
+
+
+_VERIFY_FLAGS = ("--alpha-max", "--beta-max", "--squeeze-max")
+
+
+@settings(max_examples=60, deadline=None)
+# a negative bound or phase count: once a ValueError traceback from numpy's generator
+@example(values={"--alpha-max": "-1"}, phases=1, n_max=12)
+@example(values={}, phases=-1, n_max=12)
+@given(values=st.dictionaries(st.sampled_from(_VERIFY_FLAGS), st.sampled_from(_FUZZ_VALUES)),
+       phases=st.integers(-1, 2), n_max=st.sampled_from((2, 6, 12)))
+def test_verify_contract_holds_for_every_number(values, phases, n_max):
+    """``verify`` exits 0, 2, 3 or 4 without a traceback or a nan, whatever its float flags get."""
+    argv = ["verify", "--samples", "1", "--phases", str(phases), "--n-max", str(n_max)]
+    _run_contract(argv + [f"{flag}={value}" for flag, value in values.items()], (0, 2, 3, 4))
+
+
+@pytest.mark.parametrize("n_tot", ["1e-100", "1e-170"])
+def test_heisenberg_ratios_survive_an_underflowing_n_tot_squared(n_tot, capsys):
+    """At 1e-170, n_tot^2 underflows to 0; the ratio columns once divided by it."""
+    assert main(["heisenberg", "--pmc", "pmc2", "--fractions", "1/4,1/4,1/4,1/4",
+                 "--n-tot", n_tot]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    record = dict(zip(header, rows[0]))
+    assert record["asymptotic_ratio"] == "0.5"
+    assert 0.0 < float(record["exact_ratio"]) < math.inf
+
+
+def test_verify_without_phases_checks_the_fisher_matrix(capsys):
+    """``--phases 0`` once raised from a maximum over an empty variance array."""
+    assert main(["verify", "--samples", "1", "--phases", "0"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [row[1] for row in rows] == ["f_ss", "f_dd", "f_sd"]
+
+
+def test_slope_that_is_only_rounding_residue_prints_inf(capsys):
+    """PMC3 makes <Jx> = 2 Re(a0* a1) and the homodyne Re(e^{-i phi_l} <a0>) exactly 0.
+
+    Their rounding residue once gave finite slopes: at phi = 0 the symmetric
+    convention printed 1.17e13, 2.33e13 and 3.92e13 and the cube one
+    1.17e13, 2.33e13 and inf for the same physical point.
+    """
+    sets = ["pmc=pmc3", "port1.alpha.magnitude=3.9e4", "port0.beta.magnitude=1e3",
+            "port1.alpha.phase=0.7", "port0.xi.factor=1", "port1.zeta.factor=0.8"]
+    rows = {}
+    for convention in ("symmetric", "cube"):
+        assert main(_argv("phi", "0", "2*pi", 5, sets + [f"convention={convention}"])) == 0
+        _, rows[convention] = _rows(capsys.readouterr().out)
+        assert rows[convention][0][1:4] == ["inf"] * 3, convention
+    assert rows["symmetric"][-1] == rows["cube"][-1]

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzgauss._minimize import golden_minimize
 from mzgauss.detection import (DifferenceIntensity, Homodyne,
                                SingleModeIntensity, observable_mean,
                                observable_stats, observable_variance,
@@ -23,7 +22,7 @@ from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort, port_moments
 from mzgauss.upsilon import upsilon_minus
 
-from conftest import mp_fisher_elements, relerr
+from conftest import mp_fisher_elements, relerr, scan_optimum
 
 ALL_SCHEMES = (DifferenceIntensity(), SingleModeIntensity(), Homodyne())
 
@@ -173,22 +172,12 @@ def test_single_mode_working_point_matches_closed_form():
     assert mirrored.delta_phi == pytest.approx(point.delta_phi, rel=1e-12)
 
 
-def _scan_optimum(scheme, sc, points=4000):
-    """Independent reference: dense phase scan plus golden refinement."""
-    phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    values = [sensitivity(scheme, sc.with_phase(float(p))).delta_phi for p in phis]
-    k = int(np.argmin(values))
-    step = 2 * math.pi / points
-    return golden_minimize(lambda p: sensitivity(scheme, sc.with_phase(p)).delta_phi,
-                           phis[k] - step, phis[k] + step, tol=1e-12)
-
-
 def test_analytic_working_points_agree_with_scan_minimizer():
     """The root-based optima match an independent scan plus refinement."""
     sc = _sqzvac_scenario(1.0, 0.5, 0.4)
     for scheme in ALL_SCHEMES:
         point = optimal_working_point(scheme, sc)
-        phase, value = _scan_optimum(scheme, sc)
+        phase, value = scan_optimum(scheme, sc)
         delta = abs(point.phase - phase) % (2 * math.pi)
         # sg has two mirror-image optima; either phase is a correct answer
         mirror = abs(point.phase + phase - 2 * math.pi)
@@ -199,7 +188,7 @@ def test_analytic_working_points_agree_with_scan_minimizer():
     general = MziScenario(*ports, efficiency=0.7)
     for scheme in ALL_SCHEMES:
         point = optimal_working_point(scheme, general)
-        assert point.delta_phi == pytest.approx(_scan_optimum(scheme, general)[1], rel=1e-11)
+        assert point.delta_phi == pytest.approx(scan_optimum(scheme, general)[1], rel=1e-11)
         assert sensitivity(scheme, general.with_phase(point.phase)).delta_phi == point.delta_phi
 
 

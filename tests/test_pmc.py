@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzgauss.errors import UndefinedBoundary
 from mzgauss.fisher import qfi, qfi_closed_form
@@ -133,6 +135,21 @@ def test_grid_search_agrees_with_classify(alpha, beta, expected):
     for ph in phases:
         frac = ph / (0.5 * math.pi)
         assert abs(frac - round(frac)) * 0.5 * math.pi < 1e-4
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_alpha=st.floats(-1.0, math.log10(500.0)), log_beta=st.floats(-1.0, math.log10(500.0)),
+       r=st.floats(0.0, 2.3), z=st.floats(0.0, 2.3), convention=st.sampled_from(list(BsConvention)))
+def test_grid_maximum_never_below_the_classified_family(log_alpha, log_beta, r, z, convention):
+    """Off criterion 4's grid: the brute-force maximum reaches the classified family's QFI.
+
+    Every family's phases lie on the resolution-32 lattice, and the
+    refinement never lowers its start, so only rounding may separate them.
+    """
+    alpha, beta = 10.0 ** log_alpha, 10.0 ** log_beta
+    _, best = grid_search_qfi(alpha, beta, r, z, 32, convention)
+    family = classify(alpha, beta, r, z)
+    assert best >= qfi_closed_form(alpha, beta, r, z, pmc=family) * (1.0 - 1e-9)
 
 
 def test_resolution_validated():
