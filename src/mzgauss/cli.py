@@ -171,6 +171,15 @@ def _normalized(cfg: dict) -> dict:
     return out
 
 
+def _pmc_family(value, key: str) -> PmcSet:
+    """The family named by ``value``, in any case; ``key`` names the field in the error."""
+    try:
+        return PmcSet(str(value).lower())
+    except ValueError:
+        names = ", ".join(p.value for p in PmcSet)
+        raise ConfigError(f"{key}: expected one of {names}, got {value!r}") from None
+
+
 def build_scenario(cfg: dict, n: dict) -> MziScenario:
     """The scenario of a config, read from ``n``, its :func:`_normalized` view."""
     try:
@@ -179,13 +188,8 @@ def build_scenario(cfg: dict, n: dict) -> MziScenario:
         raise ConfigError(f"field convention: expected symmetric|cube, got {cfg['convention']!r}") from None
 
     if n["pmc"] is not None:
-        try:
-            family = PmcSet(n["pmc"])
-        except ValueError:
-            names = ", ".join(p.value for p in PmcSet)
-            raise ConfigError(f"field pmc: expected one of {names}, got {cfg['pmc']!r}") from None
         port1, port0 = apply_pmc(
-            family, n["port1.alpha.phase"],
+            _pmc_family(cfg["pmc"], "field pmc"), n["port1.alpha.phase"],
             n["port1.alpha.magnitude"], n["port0.beta.magnitude"],
             n["port0.xi.factor"], n["port1.zeta.factor"], convention,
         )
@@ -368,11 +372,7 @@ def _parse_fraction(text: str, key: str) -> float:
 
 def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
                    out: IO[str], err: IO[str]) -> int:
-    try:
-        family = PmcSet(pmc_name.lower())
-    except ValueError:
-        names = ", ".join(p.value for p in PmcSet)
-        raise ConfigError(f"--pmc: expected one of {names}, got {pmc_name!r}") from None
+    family = _pmc_family(pmc_name, "--pmc")
     parts = [p for p in fractions_text.split(",") if p.strip()]
     if len(parts) != 4:
         raise ConfigError("--fractions expects f_alpha,f_beta,f_r,f_z")
@@ -382,13 +382,17 @@ def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
     except ValueError as exc:
         raise ConfigError(f"--fractions: {exc}") from None
 
+    unit = PowerFractions(*vals, n_tot=1.0)
     asymptotic = asymptotic_qfi(family, fractions)
     # the leading order is <N_tot>^2 times its value at <N_tot> = 1, which no underflow zeroes
-    ratio = asymptotic_qfi(family, PowerFractions(*vals, n_tot=1.0))
+    ratio = asymptotic_qfi(family, unit)
     alpha, beta, r, z = fractions.to_magnitudes()
     exact = qfi_closed_form(alpha, beta, r, z, pmc=family)
     exact_ratio = exact / n_tot / n_tot
-    if math.isinf(exact_ratio):  # about 1 / n_tot, past the double range below n_tot = 1e-308
+    # about 1 / n_tot, past the double range below n_tot = 1e-308, where the QFI may
+    # underflow to 0; one that is 0 at <N_tot> = 1 is 0 at every <N_tot>
+    underflow = exact == 0.0 and qfi_closed_form(*unit.to_magnitudes(), pmc=family) > 0.0
+    if math.isinf(exact_ratio) or underflow:
         raise NumericalOverflow(f"F/<N_tot>^2 overflows at n_tot = {fmt(n_tot)}")
     comments = [
         f"# config: {json.dumps({'pmc': family.value, 'fractions': vals, 'n_tot': n_tot}, sort_keys=True)}",

@@ -171,27 +171,17 @@ def qfi_closed_form(alpha: float, beta: float, r: float, z: float,
                     *, theta_alpha=0.0, theta=None, phi_zeta=None, theta_beta=None):
     """QFI from the published closed forms.
 
-    With ``pmc`` given, evaluates that family's optimal-value expression (the
-    value is convention independent; only the realizing phases move) as one
-    entry of :func:`pmc_qfis`; the squeezed-vacuum families share the PMC1
-    and PMC2 expressions.  With ``pmc=None`` the three explicit phases are
+    With ``pmc`` given, a ``pmc.PmcSet`` member, evaluates its optimal-value
+    expression (the value is convention independent; only the realizing
+    phases move) as row ``pmc.row`` of :func:`pmc_qfis`, the row of the
+    family's regime.  With ``pmc=None`` the three explicit phases are
     required and the general-phase elements of :func:`phase_fisher_elements`
     are combined to F_dd - F_sd^2 / F_ss (F_dd where F_ss = 0, at two vacua).
     The phases are scalars, giving a float, or broadcastable numpy arrays,
     giving an array.
     """
     if pmc is not None:
-        from .pmc import PmcSet
-
-        if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
-            row = 0
-        elif pmc in (PmcSet.PMC2, PmcSet.SQZVAC_WIDEBAND):
-            row = 1
-        elif pmc is PmcSet.PMC3:
-            row = 2
-        else:
-            raise ValueError(f"unknown PMC family {pmc!r}")
-        value = float(pmc_qfis(alpha, beta, r, z)[row])
+        value = float(pmc_qfis(alpha, beta, r, z)[pmc.row])
         if not math.isfinite(value):
             raise NumericalOverflow(f"the {pmc.value} QFI overflows at |alpha| = {alpha:g}, "
                                     f"|beta| = {beta:g}, r = {r:g}, z = {z:g}")

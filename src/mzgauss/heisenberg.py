@@ -3,7 +3,9 @@
 With every component photon number large, the QFI of each phase-matching
 family reduces to <N_tot>^2 times a function of the four power fractions.
 The Heisenberg limit F = <N_tot>^2 is reached only on family-specific
-fraction manifolds.
+fraction manifolds.  Both the asymptote and the manifolds belong to the
+family's regime (:attr:`pmc.PmcSet.regime`): a squeezed-vacuum family has
+those of PMC1 or PMC2, whose QFI it also shares.
 """
 
 from __future__ import annotations
@@ -56,18 +58,15 @@ def asymptotic_qfi(pmc: PmcSet, f: PowerFractions) -> float:
         n2 = f.n_tot ** 2
     except OverflowError:
         raise NumericalOverflow(f"<N_tot>^2 overflows at n_tot = {f.n_tot:g}") from None
-    if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
+    regime = pmc.regime
+    if regime is PmcSet.PMC1:
         return n2 * (4.0 * f.f_r * (f.f_alpha + f.f_z))
-    if pmc is PmcSet.SQZVAC_WIDEBAND:
-        return n2 * (4.0 * f.f_alpha * f.f_r)
-    if pmc is PmcSet.PMC2:
+    if regime is PmcSet.PMC2:
         return n2 * (4.0 * (f.f_alpha * f.f_r + f.f_beta * f.f_z))
-    if pmc is PmcSet.PMC3:
-        num = f.f_alpha * f.f_beta * (f.f_r + f.f_z) ** 2
-        den = 0.5 * f.f_r ** 2 + 0.5 * f.f_z ** 2 + f.f_alpha * f.f_z + f.f_beta * f.f_r
-        corr = 0.0 if num == 0.0 else num / den
-        return n2 * (4.0 * (f.f_alpha * f.f_r + f.f_beta * f.f_z + f.f_r * f.f_z - corr))
-    raise ValueError(f"unknown PMC family {pmc!r}")
+    num = f.f_alpha * f.f_beta * (f.f_r + f.f_z) ** 2
+    den = 0.5 * f.f_r ** 2 + 0.5 * f.f_z ** 2 + f.f_alpha * f.f_z + f.f_beta * f.f_r
+    corr = 0.0 if num == 0.0 else num / den
+    return n2 * (4.0 * (f.f_alpha * f.f_r + f.f_beta * f.f_z + f.f_r * f.f_z - corr))
 
 
 @dataclass(frozen=True)
@@ -80,31 +79,25 @@ class HeisenbergOptima:
 
     pmc: PmcSet
     manifolds: tuple[dict[str, float], ...]
-    peak_ratio: float = 1.0
+
+
+_OPTIMA = {
+    # the split of the remaining half between f_alpha and f_z is free
+    PmcSet.PMC1: ({"f_r": 0.5, "f_beta": 0.0, "f_alpha+f_z": 0.5},),
+    PmcSet.PMC2: ({"f_alpha": 0.5, "f_r": 0.5, "f_beta": 0.0, "f_z": 0.0},
+                  {"f_beta": 0.5, "f_z": 0.5, "f_alpha": 0.0, "f_r": 0.0}),
+    # Two squeezed vacuums is the interior optimum.  With one coherent source off this
+    # family degenerates to the anti-phase squeezer one (the corresponding 2 theta -
+    # phase constraint becomes vacuous), so its free-split manifolds reach the limit too.
+    PmcSet.PMC3: ({"f_r": 0.5, "f_z": 0.5, "f_alpha": 0.0, "f_beta": 0.0},
+                  {"f_beta": 0.0, "f_r": 0.5, "f_alpha+f_z": 0.5},
+                  {"f_alpha": 0.0, "f_z": 0.5, "f_beta+f_r": 0.5}),
+}
 
 
 def heisenberg_optima(pmc: PmcSet) -> HeisenbergOptima:
-    if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
-        # the split of the remaining half between f_alpha and f_z is free
-        return HeisenbergOptima(pmc, ({"f_r": 0.5, "f_beta": 0.0, "f_alpha+f_z": 0.5},))
-    if pmc is PmcSet.SQZVAC_WIDEBAND:
-        return HeisenbergOptima(pmc, ({"f_alpha": 0.5, "f_r": 0.5, "f_beta": 0.0, "f_z": 0.0},))
-    if pmc is PmcSet.PMC2:
-        return HeisenbergOptima(pmc, (
-            {"f_alpha": 0.5, "f_r": 0.5, "f_beta": 0.0, "f_z": 0.0},
-            {"f_beta": 0.5, "f_z": 0.5, "f_alpha": 0.0, "f_r": 0.0},
-        ))
-    if pmc is PmcSet.PMC3:
-        # Two squeezed vacuums is the interior optimum.  With one coherent
-        # source switched off this family degenerates to the anti-phase
-        # squeezer one (the corresponding 2 theta - phase constraint becomes
-        # vacuous), so its free-split manifolds reach the limit as well.
-        return HeisenbergOptima(pmc, (
-            {"f_r": 0.5, "f_z": 0.5, "f_alpha": 0.0, "f_beta": 0.0},
-            {"f_beta": 0.0, "f_r": 0.5, "f_alpha+f_z": 0.5},
-            {"f_alpha": 0.0, "f_z": 0.5, "f_beta+f_r": 0.5},
-        ))
-    raise ValueError(f"unknown PMC family {pmc!r}")
+    """The manifolds of the family's regime, each a fresh dict."""
+    return HeisenbergOptima(pmc, tuple(dict(manifold) for manifold in _OPTIMA[pmc.regime]))
 
 
 def satisfies_optimum(pmc: PmcSet, f: PowerFractions, tol: float = 1e-6) -> bool:

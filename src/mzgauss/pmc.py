@@ -3,6 +3,9 @@
 Three families of input phase relations each maximize the QFI in a region of
 the (|alpha|, |beta|) plane; the boundary amplitudes below are the exact
 crossing points of the corresponding closed-form QFI expressions.  The
+squeezed-vacuum families are PMC1 and PMC2 named for beta = 0, and
+:attr:`PmcSet.regime` alone maps each family to the one of these three whose
+phase relations, QFI, asymptote and Heisenberg optima it uses.  The
 brute-force grid maximizer over the three free phase differences, refined
 with the lockstep grid of :func:`_minimize.grid_minimize` that the working-point
 optimizer also uses, validates the analytic families.
@@ -29,30 +32,42 @@ class PmcSet(enum.Enum):
     PMC1 = "pmc1"                      # squeezers in anti-phase, coherents in phase
     PMC2 = "pmc2"                      # everything in phase (high-coherent optimum)
     PMC3 = "pmc3"                      # coherents pi/2 apart (low-coherent optimum)
-    SQZVAC_OPTIMAL = "sqzvac_optimal"  # beta = 0 family, squeezers in anti-phase
-    SQZVAC_WIDEBAND = "sqzvac_wideband"  # beta = 0 family, all phases aligned
+    SQZVAC_OPTIMAL = "sqzvac_optimal"  # PMC1 named for beta = 0
+    SQZVAC_WIDEBAND = "sqzvac_wideband"  # PMC2 named for beta = 0
+
+    @property
+    def regime(self) -> PmcSet:
+        """The family of :data:`REGIME_FAMILIES` whose phases and closed forms this one uses."""
+        return _SQZVAC_REGIMES.get(self, self)
+
+    @property
+    def row(self) -> int:
+        """Index of :attr:`regime` into :data:`REGIME_FAMILIES` and the rows of ``pmc_qfis``."""
+        return REGIME_FAMILIES.index(self.regime)
+
+
+REGIME_FAMILIES = (PmcSet.PMC1, PmcSet.PMC2, PmcSet.PMC3)
+_SQZVAC_REGIMES = {PmcSet.SQZVAC_OPTIMAL: PmcSet.PMC1, PmcSet.SQZVAC_WIDEBAND: PmcSet.PMC2}
 
 
 def apply_pmc(pmc: PmcSet, theta_alpha: float, alpha: float, beta: float,
               r: float, z: float,
               convention: BsConvention = BsConvention.SYMMETRIC) -> tuple[GaussianPort, GaussianPort]:
-    """Concrete (port1, port0) preparations satisfying the family's constraints.
+    """Concrete (port1, port0) preparations satisfying the constraints of the family's regime.
 
     Under the cube convention the port-0 phases shift (squeeze phase by pi,
     displacement phase by pi/2) so that the same physical optimum is realized.
     """
     theta = 2.0 * theta_alpha
-    if pmc in (PmcSet.PMC1, PmcSet.SQZVAC_OPTIMAL):
+    theta_beta = theta_alpha
+    regime = pmc.regime
+    if regime is PmcSet.PMC1:
         phi_zeta = theta + math.pi
-        theta_beta = theta_alpha
-    elif pmc in (PmcSet.PMC2, PmcSet.SQZVAC_WIDEBAND):
+    elif regime is PmcSet.PMC2:
         phi_zeta = theta
-        theta_beta = theta_alpha
-    elif pmc is PmcSet.PMC3:
+    else:
         theta_beta = theta_alpha - 0.5 * math.pi
         phi_zeta = 2.0 * theta_beta
-    else:
-        raise ValueError(f"unknown PMC family {pmc!r}")
 
     if convention is BsConvention.CUBE:
         theta += math.pi
@@ -152,9 +167,6 @@ def boundaries(r: float, z: float) -> RegimeBoundaries:
     except OverflowError:
         raise NumericalOverflow(f"the regime boundaries overflow at r = {r:g}, z = {z:g}") from None
     return limits
-
-
-REGIME_FAMILIES = (PmcSet.PMC1, PmcSet.PMC2, PmcSet.PMC3)
 
 
 def regime_qfis(alpha, beta, r: float, z: float) -> tuple[np.ndarray, np.ndarray]:

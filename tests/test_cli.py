@@ -1,5 +1,6 @@
 """Command-line front end: configs, CSV output, determinism, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -282,6 +283,9 @@ def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
     ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e308"],
     # exact_ratio, about 1 / n_tot, leaves the double range
     ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e-310"],
+    # the exact QFI underflows to 0: once exit 0 with exact_qfi and exact_ratio 0
+    ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "5e-324"],
+    ["heisenberg", "--pmc", "pmc1", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e-323"],
 ])
 def test_overflow_exits_3_before_any_row(argv, capsys):
     assert main(argv) == 3
@@ -332,6 +336,34 @@ def test_verify_runs_without_scipy():
     header, rows = _rows(proc.stdout)
     assert len(rows) == 6 * 2 + 3
     assert all(row[header.index("pass")] == "1" for row in rows)
+
+
+def test_only_verify_loads_the_oracle():
+    """Every other command starts without the oracle's import, so ``setup_s`` leaves it out."""
+    probe = ("import json, os, sys; sys.path.insert(0, sys.argv[1]); "
+             "from mzgauss.cli import main; "
+             "codes = [main(argv + ['-o', os.devnull]) for argv in json.loads(sys.argv[2])]; "
+             "print(json.dumps([codes, 'mzgauss.oracle' in sys.modules]))")
+    argvs = [["qfi", "--set", "port1.alpha.magnitude=2"],
+             ["sweep", "--axis", "alpha", "--start", "1", "--stop", "2", "--steps", "2",
+              "--set", "pmc=sqzvac_optimal", "--set", "port0.xi.factor=0.5"],
+             ["regimes", "--r", "0.5", "--z", "0.4", "--points", "2"],
+             ["heisenberg", "--pmc", "pmc2", "--fractions", "1/4,1/4,1/4,1/4"]]
+    proc = subprocess.run([sys.executable, "-c", probe, str(SRC), json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], False]
+
+
+def test_fisher_imports_nothing_from_pmc():
+    """The closed forms take a family's row from ``PmcSet.row``; ``pmc`` imports ``fisher``."""
+    tree = ast.parse((SRC / "mzgauss" / "fisher.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module is None or "pmc" not in node.module.split("."), node.module
+            assert all(alias.name != "pmc" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("pmc" not in alias.name.split(".") for alias in node.names)
 
 
 def test_heisenberg_pmc3_divides_before_it_overflows(capsys):
@@ -621,14 +653,25 @@ def test_regimes_contract_holds_for_every_number(values, points, spacing):
 @settings(max_examples=100, deadline=None)
 # n_tot^2 underflows to 0: once a ZeroDivisionError traceback in the ratio columns
 @example(n_tot="1e-170", pmc="pmc2", fractions="1/4,1/4,1/4,1/4")
+# the exact QFI underflows to 0: once exit 0 with an exact_ratio of 0
+@example(n_tot="5e-324", pmc="pmc3", fractions="1/4,1/4,1/4,1/4")
 @given(n_tot=st.sampled_from(_FUZZ_VALUES),
        pmc=st.sampled_from([family.value for family in PmcSet]),
        fractions=st.sampled_from(("1/4,1/4,1/4,1/4", "1/2,0,1/2,0", "0,0,1/2,1/2", "1,0,0,0",
                                   "1/6,1/6,1/3,1/3")))
 def test_heisenberg_contract_holds_for_every_number(n_tot, pmc, fractions):
-    """``heisenberg`` exits 0, 2 or 3 without a traceback or a nan, whatever ``--n-tot`` gets."""
-    _run_contract(["heisenberg", "--pmc", pmc, "--fractions", fractions, f"--n-tot={n_tot}"],
-                  (0, 2, 3))
+    """``heisenberg`` exits 0, 2 or 3 without a traceback or a nan, whatever ``--n-tot`` gets.
+
+    On exit 0, exact_ratio is positive: only two equal squeezed vacua under
+    PMC2 have a QFI of 0, at every ``--n-tot``.
+    """
+    code, out = _run_contract(["heisenberg", "--pmc", pmc, "--fractions", fractions,
+                               f"--n-tot={n_tot}"], (0, 2, 3))
+    if code == 0:
+        header, rows = _rows(out)
+        exact_ratio = float(rows[0][header.index("exact_ratio")])
+        vanishes = PmcSet(pmc).regime is PmcSet.PMC2 and fractions == "0,0,1/2,1/2"
+        assert exact_ratio == 0.0 if vanishes else exact_ratio > 0.0, (n_tot, pmc, fractions)
 
 
 _VERIFY_FLAGS = ("--alpha-max", "--beta-max", "--squeeze-max")

@@ -3,12 +3,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mzgauss.fisher import qfi_closed_form
 from mzgauss.heisenberg import (PowerFractions, asymptotic_qfi,
                                 heisenberg_optima, satisfies_optimum)
-from mzgauss.pmc import PmcSet
+from mzgauss.interferometer import BsConvention
+from mzgauss.pmc import PmcSet, apply_pmc
 
 
 def test_pmc2_four_ninths():
@@ -93,7 +95,6 @@ def test_optima_descriptions():
     assert heisenberg_optima(PmcSet.PMC1).manifolds == ({"f_r": 0.5, "f_beta": 0.0, "f_alpha+f_z": 0.5},)
     assert len(heisenberg_optima(PmcSet.PMC2).manifolds) == 2
     assert heisenberg_optima(PmcSet.PMC3).manifolds[0]["f_r"] == 0.5
-    assert heisenberg_optima(PmcSet.PMC3).peak_ratio == 1.0
 
 
 @pytest.mark.parametrize("fractions", [
@@ -104,3 +105,50 @@ def test_optima_descriptions():
 def test_non_finite_fractions_rejected(fractions):
     with pytest.raises(ValueError):
         PowerFractions(*fractions)
+
+
+_REGIMES = {PmcSet.PMC1: PmcSet.PMC1, PmcSet.PMC2: PmcSet.PMC2, PmcSet.PMC3: PmcSet.PMC3,
+            PmcSet.SQZVAC_OPTIMAL: PmcSet.PMC1, PmcSet.SQZVAC_WIDEBAND: PmcSet.PMC2}
+
+
+def _mapping_fractions():
+    """Fixed and seeded fractions, with zeros and with f_beta > 0."""
+    yield 0.0, 0.5, 0.0, 0.5
+    yield 0.25, 0.25, 0.25, 0.25
+    rng = np.random.default_rng(1515)
+    for _ in range(24):
+        weights = rng.uniform(0.05, 1.0, 4) * (rng.uniform(size=4) < 0.7)
+        if weights.sum() > 0.0:
+            yield tuple((weights / weights.sum()).tolist())
+
+
+@pytest.mark.parametrize("pmc", list(PmcSet))
+def test_every_family_uses_its_regime_closed_forms(pmc):
+    """Asymptote, exact QFI, optima and ports are those of the family's regime.
+
+    ``sqzvac_wideband`` once took an asymptote without PMC2's 4 f_beta f_z
+    term and only the first of PMC2's two manifolds.
+    """
+    n = 1e10
+    for fractions in _mapping_fractions():
+        f = PowerFractions(*fractions, n)
+        exact = qfi_closed_form(*f.to_magnitudes(), pmc=pmc)
+        assert abs(asymptotic_qfi(pmc, f) / n ** 2 - exact / n ** 2) < 1e-9, fractions
+
+    n = 1e8
+    for manifold in heisenberg_optima(pmc).manifolds:
+        values = dict.fromkeys(("f_alpha", "f_beta", "f_r", "f_z"), 0.0)
+        for key, target in manifold.items():  # a summed key is split evenly
+            parts = key.split("+")
+            values.update((part, target / len(parts)) for part in parts)
+        f = PowerFractions(**values, n_tot=n)
+        assert abs(qfi_closed_form(*f.to_magnitudes(), pmc=pmc) / n ** 2 - 1.0) < 1e-6, manifold
+
+    regime = _REGIMES[pmc]
+    assert heisenberg_optima(pmc).manifolds == heisenberg_optima(regime).manifolds
+    for convention in BsConvention:
+        for magnitudes in ((1.3, 0.7, 0.6, 0.4), (2.0, 0.0, 0.3, 0.9)):
+            assert (apply_pmc(pmc, 0.8, *magnitudes, convention)
+                    == apply_pmc(regime, 0.8, *magnitudes, convention))
+            assert (qfi_closed_form(*magnitudes, pmc=pmc)
+                    == qfi_closed_form(*magnitudes, pmc=regime))
