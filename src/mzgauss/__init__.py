@@ -12,11 +12,10 @@ from .detection import (DifferenceIntensity, Homodyne, SensitivityPoint,
 from .fisher import FisherMatrix, fisher_matrix, qcrb, qfi, qfi_closed_form
 from .heisenberg import (HeisenbergOptima, PowerFractions, asymptotic_qfi,
                          heisenberg_optima)
-from .interferometer import BsConvention, MziScenario, mode_map
+from .interferometer import BsConvention, MziScenario
 from .pmc import (PmcSet, RegimeBoundaries, apply_pmc, boundaries, classify,
                   grid_search_qfi, single_mode_alpha_lim)
 from .states import Coherent, GaussianPort, PortMoments, Squeeze, port_moments
-from .upsilon import upsilon_minus, upsilon_plus
 
 __all__ = [
     "BsConvention", "Coherent", "DifferenceIntensity", "FisherMatrix",
@@ -24,9 +23,9 @@ __all__ = [
     "PortMoments", "PowerFractions", "RegimeBoundaries", "SensitivityPoint",
     "SingleModeIntensity", "Squeeze", "apply_pmc", "asymptotic_qfi",
     "boundaries", "classify", "fisher_matrix", "grid_search_qfi",
-    "heisenberg_optima", "mode_map", "observable_mean", "observable_variance",
+    "heisenberg_optima", "observable_mean", "observable_variance",
     "optimal_working_point", "port_moments", "qcrb", "qfi", "qfi_closed_form",
-    "sensitivity", "single_mode_alpha_lim", "upsilon_minus", "upsilon_plus",
+    "sensitivity", "single_mode_alpha_lim",
 ]
 
 __version__ = "0.1.0"

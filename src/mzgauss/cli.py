@@ -160,7 +160,7 @@ def _normalized(cfg: dict) -> dict:
             out[key] = value if value is None else str(value).lower()
         elif key == "shots":
             out[key] = int(_parse_number(value, key))
-            if out[key] < 1:
+            if out[key] < 1 or out[key] != float(value):  # never floor a fraction away
                 raise ConfigError(f"field shots: expected an integer >= 1, got {value!r}")
         elif key == "homodyne.local_phase":
             out[key] = None if value is None else parse_angle(value, key)
@@ -389,11 +389,11 @@ def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
     alpha, beta, r, z = fractions.to_magnitudes()
     exact = qfi_closed_form(alpha, beta, r, z, pmc=family)
     exact_ratio = exact / n_tot / n_tot
-    # about 1 / n_tot, past the double range below n_tot = 1e-308, where the QFI may
-    # underflow to 0; one that is 0 at <N_tot> = 1 is 0 at every <N_tot>
-    underflow = exact == 0.0 and qfi_closed_form(*unit.to_magnitudes(), pmc=family) > 0.0
-    if math.isinf(exact_ratio) or underflow:
+    if math.isinf(exact_ratio):  # about 1 / n_tot, past the double range below n_tot = 1e-308
         raise NumericalOverflow(f"F/<N_tot>^2 overflows at n_tot = {fmt(n_tot)}")
+    # a QFI that is 0 at <N_tot> = 1 is 0 at every <N_tot>; any other 0 is an underflow
+    if exact == 0.0 and qfi_closed_form(*unit.to_magnitudes(), pmc=family) > 0.0:
+        raise NumericalOverflow(f"the exact QFI underflows to 0 at n_tot = {fmt(n_tot)}")
     comments = [
         f"# config: {json.dumps({'pmc': family.value, 'fractions': vals, 'n_tot': n_tot}, sort_keys=True)}",
     ]

@@ -41,4 +41,4 @@ class TruncationError(MzGaussError):
 
 
 class NumericalOverflow(MzGaussError):
-    """A quantity exceeds the range of double-precision floats."""
+    """A quantity leaves the range of double-precision floats."""

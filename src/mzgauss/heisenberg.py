@@ -98,18 +98,3 @@ _OPTIMA = {
 def heisenberg_optima(pmc: PmcSet) -> HeisenbergOptima:
     """The manifolds of the family's regime, each a fresh dict."""
     return HeisenbergOptima(pmc, tuple(dict(manifold) for manifold in _OPTIMA[pmc.regime]))
-
-
-def satisfies_optimum(pmc: PmcSet, f: PowerFractions, tol: float = 1e-6) -> bool:
-    """Whether the fractions lie on one of the family's optimizing manifolds."""
-    values = {"f_alpha": f.f_alpha, "f_beta": f.f_beta, "f_r": f.f_r, "f_z": f.f_z}
-    for manifold in heisenberg_optima(pmc).manifolds:
-        ok = True
-        for key, target in manifold.items():
-            got = sum(values[part] for part in key.split("+"))
-            if abs(got - target) > tol:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

@@ -2,9 +2,7 @@
 
 Two balanced 50/50 conventions are supported.  They differ by reflection
 phases only, which remaps optimal input phase relations but leaves every
-attainable optimum unchanged.  ``mode_map`` returns the input->output
-annihilation-operator coefficients for the full interferometer at total
-internal phase shift phi; global output phases are dropped.
+attainable optimum unchanged.
 """
 
 from __future__ import annotations
@@ -66,16 +64,3 @@ class MziScenario:
 
     def with_efficiency(self, efficiency: float) -> "MziScenario":
         return MziScenario(self.port1, self.port0, self.convention, self.phase, efficiency)
-
-
-def mode_map(convention: BsConvention, phi: float) -> np.ndarray:
-    """2x2 coefficient table c with a_out[i] = c[i, 0] a_0 + c[i, 1] a_1.
-
-    Row 0 is output port 4, row 1 is output port 5; columns are input ports
-    0 and 1.  The table is unitary for every phi.
-    """
-    half = 0.5 * phi
-    s, c = math.sin(half), math.cos(half)
-    if convention is BsConvention.SYMMETRIC:
-        return np.array([[-s, c], [c, s]], dtype=complex)
-    return np.array([[1j * s, c], [c, 1j * s]], dtype=complex)

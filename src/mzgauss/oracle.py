@@ -16,10 +16,9 @@ n_max and cached.
 
 Layout: a two-mode state is a (n_max+1) x (n_max+1) complex array; axis 0 is
 input port 0, axis 1 is input port 1.  After :func:`apply_first_bs` the axes
-hold the two internal modes, and after :func:`evolve` axis 0 reads out output
-port 4 and axis 1 output port 5 (the interferometer unitary is fixed so that
-the usual input->output coefficient table holds exactly, with the global phase
-compensated rather than ignored).
+hold the two internal modes, and after :func:`evolve_many` axis 0 reads out
+output port 4 and axis 1 output port 5.  The global phase is compensated, not
+dropped, so the usual input->output coefficient table holds exactly.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from .states import GaussianPort, PortMoments
 
 TAIL_TOL = 1e-10
 
-_OBSERVABLES = ("n4", "n5", "n_diff", "n4_sq", "n_diff_sq", "quad", "quad_sq")
-
 
 @dataclass(frozen=True)
 class FockVector:
@@ -50,20 +47,11 @@ class FockVector:
     def __post_init__(self):
         self.amplitudes.setflags(write=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def tail_mass(self) -> float:
         """Population of the top-two occupation shells of either mode."""
         p = np.abs(self.amplitudes) ** 2
         top = p[-2:, :].sum() + p[:-2, -2:].sum()
         return float(top)
-
-    def overlap(self, other: "FockVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "FockVector") -> float:
-        return abs(self.overlap(other)) ** 2
 
 
 def _chain_basis(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,16 +179,11 @@ def _apply_blocks(blocks, amps: np.ndarray) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
-def _rotate_axis0(amps: np.ndarray, delta: float) -> np.ndarray:
-    dim = amps.shape[0]
-    return amps * np.exp(1j * delta * np.arange(dim))[:, None]
-
-
 def apply_first_bs(state: FockVector, convention: BsConvention = BsConvention.SYMMETRIC) -> FockVector:
     """State just after the first beam splitter (internal modes on the two axes)."""
     amps = state.amplitudes
     if convention is BsConvention.CUBE:
-        amps = _rotate_axis0(amps, CUBE_PORT0_ROTATION)
+        amps = amps * np.exp(1j * CUBE_PORT0_ROTATION * np.arange(state.n_max + 1))[:, None]
     return FockVector(_apply_blocks(_balanced_bs_blocks(state.n_max), amps), state.n_max)
 
 
@@ -223,11 +206,6 @@ def evolve_many(inside: FockVector, phis) -> list[FockVector]:
     phased = inside.amplitudes * np.exp(1j * (phis * ns - chi * total))
     out = _apply_blocks(_balanced_bs_blocks(n_max), phased)
     return [FockVector(amps, n_max) for amps in out]
-
-
-def evolve(state: FockVector, phi: float, convention: BsConvention = BsConvention.SYMMETRIC) -> FockVector:
-    """Full interferometer at total internal phase shift phi (see :func:`evolve_many`)."""
-    return evolve_many(apply_first_bs(state, convention), [phi])[0]
 
 
 def attenuate(state: FockVector, transmission: float) -> FockVector:
@@ -278,13 +256,6 @@ def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, float
     }
 
 
-def measure_stats(state: FockVector, observable: str, local_phase: float = 0.0) -> float:
-    """<psi| O |psi> for the named output observable (see :func:`output_stats`)."""
-    if observable not in _OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}; expected one of {_OBSERVABLES}")
-    return output_stats(state, local_phase)[observable]
-
-
 def generator_fisher(inside: FockVector) -> FisherMatrix:
     """Two-parameter Fisher matrix of the state after the first beam splitter.
 
@@ -306,9 +277,3 @@ def generator_fisher(inside: FockVector) -> FisherMatrix:
         f_dd=float(4.0 * np.sum(p * d_d * d_d)),
         f_sd=float(4.0 * np.sum(p * d_s * d_d)),
     )
-
-
-def numerical_fisher(scenario: MziScenario, n_max: int = 60) -> FisherMatrix:
-    """The scenario's two-parameter Fisher matrix on the truncated basis."""
-    inside = apply_first_bs(prepare(scenario, n_max), scenario.convention)
-    return generator_fisher(inside)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mzgauss.detection import sensitivities, sensitivity
+from mzgauss.heisenberg import heisenberg_optima
 from mzgauss.interferometer import BsConvention
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -13,6 +14,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def relerr(a: float, b: float, floor: float = 1.0) -> float:
     """Relative error with an absolute floor for near-zero quantities."""
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def satisfies_optimum(pmc, f, tol=1e-6) -> bool:
+    """Whether the power fractions lie on one of the family's optimizing manifolds."""
+    values = {"f_alpha": f.f_alpha, "f_beta": f.f_beta, "f_r": f.f_r, "f_z": f.f_z}
+    return any(all(abs(sum(values[part] for part in key.split("+")) - target) <= tol
+                   for key, target in manifold.items())
+               for manifold in heisenberg_optima(pmc).manifolds)
 
 
 @pytest.fixture

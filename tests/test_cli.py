@@ -269,6 +269,8 @@ def test_verify_small_off_diagonal_fisher_element_passes(tmp_path, capsys):
     (["qfi", "--set", "port1.alpha.magnitude=1e200"], 3),
     (["verify", "--samples", "1", "--phases", "1", "--n-max", "0"], 2),
     (["verify", "--samples", "1", "--phases", "1", "--n-max", "1"], 2),
+    # shots counts repetitions: a fraction of one is not floored away
+    (["qfi", "--set", "port1.alpha.magnitude=1", "--set", "shots=2.9"], 2),
 ])
 def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
     assert main(argv) == code
@@ -277,20 +279,37 @@ def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["regimes", "--r", "400", "--z", "1"],
-    ["regimes", "--r", "2.3", "--z", "2.2", "--alpha-max", "1e200", "--points", "2"],
-    ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e308"],
+@pytest.mark.parametrize("shots,count", [("2", 2), ("2.0", 2), ("1e3", 1000)])
+def test_integral_shots_in_any_notation(shots, count, capsys):
+    assert main(["qfi", "--set", "port1.alpha.magnitude=1", "--set", f"shots={shots}"]) == 0
+    assert f"at {count} shot(s)" in capsys.readouterr().err
+
+
+_RANGE_ERRORS = [
+    (["regimes", "--r", "400", "--z", "1"], "overflow"),
+    (["regimes", "--r", "2.3", "--z", "2.2", "--alpha-max", "1e200", "--points", "2"], "overflow"),
+    (["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e308"],
+     "overflow"),
     # exact_ratio, about 1 / n_tot, leaves the double range
-    ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e-310"],
+    (["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e-310"],
+     "F/<N_tot>^2 overflows"),
     # the exact QFI underflows to 0: once exit 0 with exact_qfi and exact_ratio 0
-    ["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "5e-324"],
-    ["heisenberg", "--pmc", "pmc1", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e-323"],
-])
-def test_overflow_exits_3_before_any_row(argv, capsys):
+    (["heisenberg", "--pmc", "pmc3", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "5e-324"],
+     "the exact QFI underflows to 0"),
+    (["heisenberg", "--pmc", "pmc1", "--fractions", "1/4,1/4,1/4,1/4", "--n-tot", "1e-323"],
+     "the exact QFI underflows to 0"),
+    # the exact QFI, about 1e-330, underflows, though its ratio, about 1e-270, would not
+    (["heisenberg", "--pmc", "pmc2", "--fractions", "1e-300,0,1/2,1/2", "--n-tot", "1e-30"],
+     "the exact QFI underflows to 0"),
+]
+
+
+@pytest.mark.parametrize("argv,cause", _RANGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(_RANGE_ERRORS))])
+def test_overflow_exits_3_before_any_row(argv, cause, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "overflow" in captured.err
+    assert captured.err.startswith("error:") and cause in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no header, no row, so no nan or inf cell either
 

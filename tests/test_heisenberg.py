@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mzgauss.fisher import qfi_closed_form
-from mzgauss.heisenberg import (PowerFractions, asymptotic_qfi,
-                                heisenberg_optima, satisfies_optimum)
+from mzgauss.heisenberg import PowerFractions, asymptotic_qfi, heisenberg_optima
 from mzgauss.interferometer import BsConvention
 from mzgauss.pmc import PmcSet, apply_pmc
+
+from conftest import satisfies_optimum
 
 
 def test_pmc2_four_ninths():

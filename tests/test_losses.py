@@ -8,7 +8,7 @@ from mzgauss.detection import (DifferenceIntensity, Homodyne,
                                SingleModeIntensity, optimal_working_point,
                                sensitivity)
 from mzgauss.interferometer import MziScenario
-from mzgauss.oracle import attenuate, evolve, measure_stats, prepare
+from mzgauss.oracle import apply_first_bs, attenuate, evolve_many, output_stats, prepare
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort
 
@@ -68,12 +68,14 @@ def test_fictitious_beam_splitter_in_oracle():
     """The oracle reproduces <n'> = eta <n> and the lossy variance formula."""
     port1 = GaussianPort.from_params(0.9, 0.8, 0.5, 2.2)
     single = prepare(MziScenario(port1, GaussianPort.vacuum()), 60)
-    swapped = evolve(single, 0.0)  # routes the prepared mode to axis 0, vacuum to axis 1
-    n_ideal = measure_stats(swapped, "n4")
-    v_ideal = measure_stats(swapped, "n4_sq") - n_ideal ** 2
+    # phi = 0 routes the prepared mode to axis 0, vacuum to axis 1
+    swapped = evolve_many(apply_first_bs(single), [0.0])[0]
+    ideal = output_stats(swapped)
+    n_ideal = ideal["n4"]
+    v_ideal = ideal["n4_sq"] - n_ideal ** 2
     for eta in (0.85, 0.5):
-        lossy = attenuate(swapped, eta)
-        n_obs = measure_stats(lossy, "n4")
-        v_obs = measure_stats(lossy, "n4_sq") - n_obs ** 2
+        lossy = output_stats(attenuate(swapped, eta))
+        n_obs = lossy["n4"]
+        v_obs = lossy["n4_sq"] - n_obs ** 2
         assert relerr(n_obs, eta * n_ideal) < 1e-8
         assert relerr(v_obs, eta ** 2 * v_ideal + eta * (1 - eta) * n_ideal) < 1e-8
