@@ -212,16 +212,39 @@ def _sparse_two_mode_generator(n_max, c):
     return (c * hop - np.conj(c) * hop.T).tocsr()
 
 
-@pytest.mark.parametrize("n_max", [10, 40, 60])
+@pytest.mark.parametrize("n_max", [10, 40, 60, 2, 7, 8, 15, 16])
 def test_sector_beam_splitters_match_sparse_expm(n_max, rng):
+    """Sector stacks at truncations whose largest sector (n_max + 1 states) fills
+    a bucket of width 8 (n_max 7, 15), spills one past it (8, 16) or sits inside one."""
     state = _random_state(rng, n_max)
     flat = state.amplitudes.reshape(-1)
     bs = expm_multiply(_sparse_two_mode_generator(n_max, 0.25j * math.pi), flat)
     assert np.abs(apply_first_bs(state).amplitudes.reshape(-1) - bs).max() < 1e-12
+    turned = state.amplitudes * np.exp(1j * CUBE_PORT0_ROTATION * np.arange(n_max + 1))[:, None]
+    bs_cube = expm_multiply(_sparse_two_mode_generator(n_max, 0.25j * math.pi), turned.reshape(-1))
+    cube = apply_first_bs(state, BsConvention.CUBE).amplitudes.reshape(-1)
+    assert np.abs(cube - bs_cube).max() < 1e-12
     for transmission in (0.0, 0.3, 0.85, 1.0):
         theta = math.acos(math.sqrt(transmission))
         lossy = expm_multiply(_sparse_two_mode_generator(n_max, theta), flat)
         assert np.abs(attenuate(state, transmission).amplitudes.reshape(-1) - lossy).max() < 1e-12
+
+
+def test_beam_splitter_stacks_fit_a_memory_budget():
+    """The cached 50/50 stacks at n_max = 60 are real and padded in buckets of 8:
+    1.4 MB, against 2.4 MB for exact-size complex blocks and 7.2 MB for a
+    single complex stack padded to 61 states, which would raise the peak RSS."""
+    plan = oracle._sector_plan(60)
+    cached = [plan.gather, plan.inverse, *oracle._balanced_stacks(60)]
+    cached += [array for _, off, real in plan.buckets for array in (off, real)]
+    assert all(stack.dtype == np.float64 for stack in oracle._balanced_stacks(60))
+    assert sum(array.nbytes for array in cached) < 2_000_000
+
+
+def test_evolve_many_without_phases():
+    inside = apply_first_bs(prepare(MziScenario(GaussianPort.from_params(0.7), _vac()), 20))
+    assert evolve_many(inside, []) == []
+    assert evolve_many(inside, np.empty(0)) == []
 
 
 def _dense_single_mode(n_max, chi, gamma):
