@@ -377,6 +377,8 @@ def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
     if len(parts) != 4:
         raise ConfigError("--fractions expects f_alpha,f_beta,f_r,f_z")
     vals = [_parse_fraction(p, "fractions") for p in parts]
+    if not (n_tot > 0.0 and math.isfinite(n_tot)):  # PowerFractions would blame no flag
+        raise ConfigError(f"--n-tot must be positive and finite, got {n_tot}")
     try:
         fractions = PowerFractions(*vals, n_tot=n_tot)
     except ValueError as exc:
@@ -447,24 +449,18 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
         inside = oracle.apply_first_bs(oracle.prepare(base, n_max), convention)
         phis = rng.uniform(0.0, 2.0 * math.pi, phases)
 
-        closed_forms = [detection.observable_stats(scheme, base, phis) for _, scheme, _, _ in schemes]
-        for i, (phi, evolved) in enumerate(zip(phis, oracle.evolve_many(inside, phis))):
-            stats = oracle.output_stats(evolved, base.port1.displacement.phase)
-            for (name, _, obs, tol), (means, variances) in zip(schemes, closed_forms):
-                closed = float(means[i])
-                meas = stats[obs]
-                rel = _relerr(closed, meas)
+        stats = oracle.output_stats(oracle.evolve_many(inside, phis), base.port1.displacement.phase)
+        checks = []  # (name, closed, oracle, tol), each value one entry per phase
+        for name, scheme, obs, tol in schemes:
+            means, variances = detection.observable_stats(scheme, base, phis)
+            checks += [(name, means, stats[obs], tol),
+                       (name.replace("mean", "var"), variances, stats[obs + "_sq"] - stats[obs] ** 2, 1e-6)]
+        for i, phi in enumerate(phis):
+            for name, closed, meas, tol in checks:
+                rel = _relerr(closed[i], meas[i])
                 ok = rel < tol
                 failures += not ok
-                rows.append(_VERIFY_LINE % (case, name, phi, closed, meas, rel, ok))
-
-                vname = name.replace("mean", "var")
-                closed_v = float(variances[i])
-                meas_v = stats[obs + "_sq"] - meas ** 2
-                rel_v = _relerr(closed_v, meas_v)
-                ok_v = rel_v < 1e-6
-                failures += not ok_v
-                rows.append(_VERIFY_LINE % (case, vname, phi, closed_v, meas_v, rel_v, ok_v))
+                rows.append(_VERIFY_LINE % (case, name, phi, closed[i], meas[i], rel, ok))
 
         closed_fm = fisher_matrix(base)
         oracle_fm = oracle.generator_fisher(inside)

@@ -24,9 +24,12 @@ phase vectors the callers apply anyway.  So every stack is real, 1.4 MB in
 all at n_max = 60.
 
 Layout: a two-mode state is a (n_max+1) x (n_max+1) complex array; axis 0 is
-input port 0, axis 1 is input port 1.  After :func:`apply_first_bs` the axes
-hold the two internal modes, and after :func:`evolve_many` axis 0 reads out
-output port 4 and axis 1 output port 5.  The global phase is compensated, not
+input port 0, axis 1 is input port 1.  Any trailing axes are a batch of
+states: :func:`evolve_many` returns one (dim, dim, phases) array, and
+:func:`apply_first_bs`, :func:`attenuate` and :func:`output_stats` act on
+every state of a batch at once.  After :func:`apply_first_bs` the axes hold
+the two internal modes, and after :func:`evolve_many` axis 0 reads out output
+port 4 and axis 1 output port 5.  The global phase is compensated, not
 dropped, so the usual input->output coefficient table holds exactly.
 """
 
@@ -49,19 +52,16 @@ _BUCKET = 8  # sector chains are padded to a multiple of this many slots
 
 @dataclass(frozen=True)
 class FockVector:
-    """Two-mode pure state on the truncated basis, indexed by (n0, n1)."""
+    """Two-mode pure state on the truncated basis, indexed by (n0, n1, *batch)."""
 
     amplitudes: np.ndarray
-    n_max: int
 
     def __post_init__(self):
         self.amplitudes.setflags(write=False)
 
-    def tail_mass(self) -> float:
-        """Population of the top-two occupation shells of either mode."""
-        p = np.abs(self.amplitudes) ** 2
-        top = p[-2:, :].sum() + p[:-2, -2:].sum()
-        return float(top)
+    @property
+    def n_max(self) -> int:
+        return self.amplitudes.shape[0] - 1
 
 
 def _chain_basis(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,13 +148,13 @@ def single_mode_moments(port: GaussianPort, n_max: int = 60) -> PortMoments:
 
 def prepare(scenario: MziScenario, n_max: int = 60) -> FockVector:
     """Normalized product state D1 S1 D0 S0 |0,0> on the truncated basis."""
-    v0 = _single_mode_vector(scenario.port0, n_max)
-    v1 = _single_mode_vector(scenario.port1, n_max)
-    state = FockVector(np.outer(v0, v1), n_max)
-    tail = state.tail_mass()
+    amps = np.outer(_single_mode_vector(scenario.port0, n_max),
+                    _single_mode_vector(scenario.port1, n_max))
+    p = np.abs(amps) ** 2
+    tail = float(p[-2:, :].sum() + p[:-2, -2:].sum())  # the top two shells of either mode
     if tail >= TAIL_TOL:
         raise TruncationError(tail, n_max)
-    return state
+    return FockVector(amps)
 
 
 @dataclass(frozen=True)
@@ -233,19 +233,21 @@ def _balanced_stacks(n_max: int) -> tuple[np.ndarray, ...]:
     return _rotation_stacks(n_max, 0.25 * math.pi)
 
 
-def _apply_sectors(n_max: int, stacks, cols: np.ndarray) -> np.ndarray:
-    """Apply a sector-stacked real rotation to each column of ``cols``, of shape (dim^2, k).
+def _apply_sectors(stacks, amps: np.ndarray) -> np.ndarray:
+    """Apply a sector-stacked real rotation to each state of ``amps``, of shape (dim, dim, *batch).
 
-    Real and imaginary parts sit side by side as 2k real columns, so each
-    bucket is one real stacked product.
+    The batch becomes the k columns of a (dim^2, k) layout, real and imaginary
+    parts side by side as 2k real columns, so each bucket is one real stacked
+    product.
     """
-    plan = _sector_plan(n_max)
-    slots = np.take(np.ascontiguousarray(cols, dtype=complex).view(float), plan.gather, axis=0)
+    plan = _sector_plan(amps.shape[0] - 1)
+    cols = np.ascontiguousarray(amps, dtype=complex).reshape(len(plan.inverse), math.prod(amps.shape[2:]))
+    slots = np.take(cols.view(float), plan.gather, axis=0)
     out = np.empty_like(slots)
     for (part, _, real), stack in zip(plan.buckets, stacks):
         shape = real.shape + (slots.shape[1],)
         np.matmul(stack, slots[part].reshape(shape), out=out[part].reshape(shape))
-    return np.take(out, plan.inverse, axis=0).view(complex)
+    return np.take(out, plan.inverse, axis=0).view(complex).reshape(amps.shape)
 
 
 def _i_powers(n_max: int) -> np.ndarray:
@@ -256,18 +258,19 @@ def _i_powers(n_max: int) -> np.ndarray:
 def apply_first_bs(state: FockVector, convention: BsConvention = BsConvention.SYMMETRIC) -> FockVector:
     """State just after the first beam splitter (internal modes on the two axes)."""
     n_max = state.n_max
-    dim = n_max + 1
     turn = CUBE_PORT0_ROTATION if convention is BsConvention.CUBE else 0.0
-    # e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, after the cube convention's turn of port 0
-    cols = state.amplitudes * np.exp(1j * (turn - 0.5 * math.pi) * np.arange(dim))[:, None]
-    out = _apply_sectors(n_max, _balanced_stacks(n_max), cols.reshape(dim * dim, 1))
-    return FockVector(out.reshape(dim, dim) * _i_powers(n_max)[:, None], n_max)
+    # e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, after the cube convention's turn of port 0;
+    # .T puts n0 on the last axis, past any batch axes
+    inner = np.exp(1j * (turn - 0.5 * math.pi) * np.arange(n_max + 1))
+    out = _apply_sectors(_balanced_stacks(n_max), (state.amplitudes.T * inner).T)
+    return FockVector((out.T * _i_powers(n_max)).T)
 
 
-def evolve_many(inside: FockVector, phis) -> list[FockVector]:
-    """Output states at each total internal phase shift in ``phis``.
+def evolve_many(inside: FockVector, phis) -> FockVector:
+    """Output states at each total internal phase shift in ``phis``, as one batch.
 
-    ``inside`` is the state after the first beam splitter.  Each phase applies
+    ``inside`` is one state after the first beam splitter; the result's
+    amplitudes have shape (dim, dim, len(phis)).  Each phase applies
     exp(i phi n) to the internal mode on axis 1 together with the total-number
     compensator exp(-i (phi/2 + pi/2) N_total), which absorbs the
     otherwise-ignored global factor so that output-port observables match the
@@ -277,18 +280,14 @@ def evolve_many(inside: FockVector, phis) -> list[FockVector]:
     splitter's inner e^{-i pi/2 n0}, factor into one vector per axis.
     """
     n_max = inside.n_max
-    dim = n_max + 1
     phis = np.asarray(phis, dtype=float)
-    ns = np.arange(dim)
+    ns = np.arange(n_max + 1)
     axis0 = np.exp(-1j * np.outer(ns, 0.5 * phis + math.pi))
     axis1 = np.exp(1j * np.outer(ns, 0.5 * phis - 0.5 * math.pi))
     cols = inside.amplitudes[:, :, None] * axis0[:, None, :] * axis1
-    out = _apply_sectors(n_max, _balanced_stacks(n_max), cols.reshape(dim * dim, len(phis)))
-    # one C-ordered array per phase, not a strided view into the column layout
-    states = np.empty((len(phis), dim, dim), dtype=complex)
-    by_phase = out.reshape(dim, dim, len(phis)).transpose(2, 0, 1)
-    np.multiply(by_phase, _i_powers(n_max)[:, None], out=states)
-    return [FockVector(amps, n_max) for amps in states]
+    out = _apply_sectors(_balanced_stacks(n_max), cols)
+    out *= _i_powers(n_max)[:, None, None]
+    return FockVector(out)
 
 
 def attenuate(state: FockVector, transmission: float) -> FockVector:
@@ -298,31 +297,30 @@ def attenuate(state: FockVector, transmission: float) -> FockVector:
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
-    n_max = state.n_max
-    dim = n_max + 1
-    stacks = _rotation_stacks(n_max, math.acos(math.sqrt(transmission)))
-    out = _apply_sectors(n_max, stacks, state.amplitudes.reshape(dim * dim, 1))
-    return FockVector(out.reshape(dim, dim), n_max)
+    stacks = _rotation_stacks(state.n_max, math.acos(math.sqrt(transmission)))
+    return FockVector(_apply_sectors(stacks, state.amplitudes))
 
 
 def _apply_quadrature(amps: np.ndarray, local_phase: float) -> np.ndarray:
     """X_{phi_L} = (e^{-i phi_L} a + e^{i phi_L} a^dag)/2 acting on axis 0."""
-    dim = amps.shape[0]
-    root = np.sqrt(np.arange(1.0, dim))
-    out = np.zeros_like(amps)
+    flip = amps.T  # axis 0 last, so a vector over n0 broadcasts past any batch axes
+    root = np.sqrt(np.arange(1.0, amps.shape[0]))
+    out = np.zeros_like(flip)
     # a: out[n] += sqrt(n+1) amps[n+1];  a^dag: out[n] += sqrt(n) amps[n-1]
-    out[:-1, :] += np.exp(-1j * local_phase) * root[:, None] * amps[1:, :]
-    out[1:, :] += np.exp(1j * local_phase) * root[:, None] * amps[:-1, :]
-    return 0.5 * out
+    out[..., :-1] += np.exp(-1j * local_phase) * root * flip[..., 1:]
+    out[..., 1:] += np.exp(1j * local_phase) * root * flip[..., :-1]
+    return 0.5 * out.T
 
 
-def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, float]:
+def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, np.ndarray]:
     """<psi| O |psi> for every output observable, from one |psi|^2 and one quadrature image.
 
     ``n4``/``n5`` are the output-port photon numbers (axes 0/1 of an evolved
     state), ``n_diff`` their difference, ``*_sq`` the squared operators, and
     ``quad``/``quad_sq`` the port-4 quadrature at local-oscillator phase
-    ``local_phase``.
+    ``local_phase``.  Each value is reduced over axes 0 and 1 only, so it has
+    the state's batch shape: one entry per phase of :func:`evolve_many`, 0-d
+    for a single state.
     """
     amps = state.amplitudes
     ns = np.arange(amps.shape[0], dtype=float)
@@ -331,13 +329,13 @@ def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, float
     diff = ns[:, None] - ns[None, :]
     xv = _apply_quadrature(amps, local_phase)
     return {
-        "n4": float(p4 @ ns),
-        "n5": float(p.sum(axis=0) @ ns),
-        "n_diff": float(np.sum(diff * p)),
-        "n4_sq": float(p4 @ ns ** 2),
-        "n_diff_sq": float(np.sum(diff ** 2 * p)),
-        "quad": float(np.vdot(amps, xv).real),
-        "quad_sq": float(np.vdot(xv, xv).real),
+        "n4": np.tensordot(ns, p4, axes=1),
+        "n5": np.tensordot(ns, p.sum(axis=0), axes=1),
+        "n_diff": np.tensordot(diff, p, axes=2),
+        "n4_sq": np.tensordot(ns ** 2, p4, axes=1),
+        "n_diff_sq": np.tensordot(diff ** 2, p, axes=2),
+        "quad": np.sum(amps.conj() * xv, axis=(0, 1)).real,
+        "quad_sq": np.sum(np.abs(xv) ** 2, axis=(0, 1)),
     }
 
 

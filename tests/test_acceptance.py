@@ -71,14 +71,14 @@ def test_criterion_02_oracle_equivalence():
         local = port1.displacement.phase
 
         phis = rng.uniform(0, 2 * math.pi, 5)
-        for phi, evolved in zip(phis, oracle.evolve_many(inside, phis)):
+        stats = oracle.output_stats(oracle.evolve_many(inside, phis), local)
+        for k, phi in enumerate(phis):
             scenario = base.with_phase(float(phi))
-            stats = oracle.output_stats(evolved, local)
             for scheme, obs in schemes:
-                mean_o = stats[obs]
+                mean_o = stats[obs][k]
                 worst["mean"] = max(worst["mean"], relerr(
                     detection.observable_mean(scheme, scenario), mean_o))
-                var_o = stats[obs + "_sq"] - mean_o ** 2
+                var_o = stats[obs + "_sq"][k] - mean_o ** 2
                 worst["var"] = max(worst["var"], relerr(
                     detection.observable_variance(scheme, scenario), var_o))
 
@@ -352,16 +352,14 @@ def test_criterion_10_two_squeezer_structure():
                                      GaussianPort.from_params(0, 0, r, theta)), 60)
     v_b = oracle.prepare(MziScenario(GaussianPort.from_params(0, 0, r, theta + math.pi),
                                      GaussianPort.vacuum()), 60)
-    target = oracle.FockVector(
-        np.outer(v_a.amplitudes[:, 0], v_b.amplitudes[0, :]), 60)
+    target = oracle.FockVector(np.outer(v_a.amplitudes[:, 0], v_b.amplitudes[0, :]))
     fidelity = abs(np.vdot(inside.amplitudes, target.amplitudes)) ** 2
 
     port = GaussianPort.from_params(0, 0, 0.5, 0.4)  # zeta = xi
     equal = oracle.apply_first_bs(oracle.prepare(MziScenario(port, port), 60))
 
     def means(phis):
-        return np.array([oracle.output_stats(out)["n_diff"]
-                         for out in oracle.evolve_many(equal, phis)])
+        return oracle.output_stats(oracle.evolve_many(equal, phis))["n_diff"]
 
     h, phis = 1e-3, np.linspace(0.0, 2 * math.pi, 9)
     slope = np.abs(means(phis + h) - means(phis - h)).max() / (2 * h)

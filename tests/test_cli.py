@@ -244,12 +244,20 @@ def test_verify_truncation_exit_code(capsys):
     ["qfi", "--set", "port1.alpha.magnitude=-1"],
     ["qfi", "--set", "port0.xi.factor=-1"],
     ["sweep", "--axis", "alpha", "--start", "-1", "--stop", "1", "--steps", "3"],
+    # once "config error: --fractions: n_tot must be positive and finite, got 0.0"
+    ["heisenberg", "--pmc", "pmc2", "--fractions", "1/6,1/6,1/3,1/3", "--n-tot", "0"],
 ])
 def test_non_finite_numbers_are_config_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "finite" in err
     assert "Traceback" not in err
+
+
+def test_n_tot_error_names_its_flag(capsys):
+    assert main(["heisenberg", "--pmc", "pmc2", "--fractions", "1/6,1/6,1/3,1/3",
+                 "--n-tot", "0"]) == 2
+    assert capsys.readouterr().err == "config error: --n-tot must be positive and finite, got 0.0\n"
 
 
 def test_verify_small_off_diagonal_fisher_element_passes(tmp_path, capsys):

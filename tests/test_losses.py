@@ -69,13 +69,13 @@ def test_fictitious_beam_splitter_in_oracle():
     port1 = GaussianPort.from_params(0.9, 0.8, 0.5, 2.2)
     single = prepare(MziScenario(port1, GaussianPort.vacuum()), 60)
     # phi = 0 routes the prepared mode to axis 0, vacuum to axis 1
-    swapped = evolve_many(apply_first_bs(single), [0.0])[0]
+    swapped = evolve_many(apply_first_bs(single), [0.0])
     ideal = output_stats(swapped)
-    n_ideal = ideal["n4"]
+    n_ideal = ideal["n4"][0]
     v_ideal = ideal["n4_sq"] - n_ideal ** 2
     for eta in (0.85, 0.5):
         lossy = output_stats(attenuate(swapped, eta))
-        n_obs = lossy["n4"]
-        v_obs = lossy["n4_sq"] - n_obs ** 2
+        n_obs = lossy["n4"][0]
+        v_obs = lossy["n4_sq"][0] - n_obs ** 2
         assert relerr(n_obs, eta * n_ideal) < 1e-8
         assert relerr(v_obs, eta ** 2 * v_ideal + eta * (1 - eta) * n_ideal) < 1e-8

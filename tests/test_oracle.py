@@ -1,6 +1,8 @@
 """The truncated Fock simulator itself: preparation, evolution, measurement, Fisher."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,19 +69,19 @@ def test_evolve_preserves_norm_and_energy(rng):
     port1 = GaussianPort.from_params(1.1, 0.4, 0.5, 1.3)
     port0 = GaussianPort.from_params(0.7, 2.0, 0.4, 0.6)
     state = prepare(MziScenario(port1, port0), 60)
-    stats = output_stats(evolve_many(apply_first_bs(state), [0.0])[0])
-    energy_in = stats["n4"] + stats["n5"]
+    stats = output_stats(evolve_many(apply_first_bs(state), [0.0]))
+    energy_in = stats["n4"][0] + stats["n5"][0]
     for conv in BsConvention:
-        for out in evolve_many(apply_first_bs(state, conv), rng.uniform(0, 2 * math.pi, 3)):
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-            stats = output_stats(out)
-            assert abs(stats["n4"] + stats["n5"] - energy_in) < 1e-10
+        out = evolve_many(apply_first_bs(state, conv), rng.uniform(0, 2 * math.pi, 3))
+        assert np.abs(np.linalg.norm(out.amplitudes, axis=(0, 1)) - 1.0).max() < 1e-12
+        stats = output_stats(out)
+        assert np.abs(stats["n4"] + stats["n5"] - energy_in).max() < 1e-10
 
 
 def test_zero_phase_swaps_modes():
     port1 = GaussianPort.from_params(0.9, 0.0, 0.3, 0.0)
     state = prepare(MziScenario(port1, _vac()), 50)
-    stats = output_stats(evolve_many(apply_first_bs(state), [0.0])[0])
+    stats = output_stats(evolve_many(apply_first_bs(state), [0.0]))
     n1_in = 0.9 ** 2 + math.sinh(0.3) ** 2
     assert stats["n4"] == pytest.approx(n1_in, rel=1e-12)
     assert stats["n5"] == pytest.approx(0.0, abs=1e-12)
@@ -88,14 +90,14 @@ def test_zero_phase_swaps_modes():
 def test_single_photon_interference():
     amps = np.zeros((12, 12), dtype=complex)
     amps[0, 1] = 1.0
-    phis = (0.0, 0.7, math.pi / 2, 2.5)
-    for phi, out in zip(phis, evolve_many(apply_first_bs(FockVector(amps, 11)), phis)):
-        assert output_stats(out)["n4"] == pytest.approx(math.cos(phi / 2) ** 2, abs=1e-12)
+    phis = np.array([0.0, 0.7, math.pi / 2, 2.5])
+    n4 = output_stats(evolve_many(apply_first_bs(FockVector(amps)), phis))["n4"]
+    assert n4 == pytest.approx(np.cos(phis / 2) ** 2, abs=1e-12)
 
 
 def test_vacuum_quadrature_variance():
     state = prepare(MziScenario(_vac(), _vac()), 20)
-    stats = output_stats(evolve_many(apply_first_bs(state), [1.0])[0])
+    stats = output_stats(evolve_many(apply_first_bs(state), [1.0]))
     assert stats["quad"] == pytest.approx(0.0, abs=1e-14)
     assert stats["quad_sq"] == pytest.approx(0.25, abs=1e-12)
     for obs in ("n4", "n5", "n_diff", "n4_sq", "n_diff_sq"):
@@ -115,8 +117,8 @@ def test_output_stats_match_explicit_operators(convention, rng):
                                          rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
         local = float(rng.uniform(0, 2 * math.pi))
         inside = apply_first_bs(prepare(MziScenario(port1, port0, convention), n_max), convention)
-        out = evolve_many(inside, [rng.uniform(0, 2 * math.pi)])[0]
-        psi = out.amplitudes
+        out = evolve_many(inside, [rng.uniform(0, 2 * math.pi)])
+        psi = out.amplitudes[:, :, 0]
         quad = 0.5 * (np.exp(-1j * local) * a + np.exp(1j * local) * a.T)
         n4, n5, x = n @ psi, psi @ n.T, quad @ psi
         diff = n4 - n5
@@ -126,7 +128,7 @@ def test_output_stats_match_explicit_operators(convention, rng):
         stats = output_stats(out, local)
         assert set(stats) == set(expected)
         for name, value in expected.items():
-            assert abs(stats[name] - value.real) <= 1e-14 * max(abs(value), 1.0), name
+            assert abs(stats[name][0] - value.real) <= 1e-14 * max(abs(value), 1.0), name
 
 
 def test_opposite_squeezers_pass_the_first_bs_unattenuated():
@@ -139,7 +141,7 @@ def test_opposite_squeezers_pass_the_first_bs_unattenuated():
 
     v_plus = prepare(MziScenario(_vac(), GaussianPort.from_params(0, 0, r, theta)), 60)
     v_minus = prepare(MziScenario(GaussianPort.from_params(0, 0, r, theta + math.pi), _vac()), 60)
-    target = FockVector(np.outer(v_plus.amplitudes[:, 0], v_minus.amplitudes[0, :]), 60)
+    target = FockVector(np.outer(v_plus.amplitudes[:, 0], v_minus.amplitudes[0, :]))
     assert abs(np.vdot(inside.amplitudes, target.amplitudes)) ** 2 >= 1.0 - 1e-8
 
 
@@ -148,7 +150,7 @@ def test_equal_squeezers_remove_all_phase_dependence():
     inside = apply_first_bs(prepare(MziScenario(port, port), 60))
 
     def means(phis):
-        return np.array([output_stats(out)["n_diff"] for out in evolve_many(inside, phis)])
+        return output_stats(evolve_many(inside, phis))["n_diff"]
 
     values = means(np.linspace(0.0, 2 * math.pi, 17))
     assert max(values) - min(values) < 1e-9
@@ -161,8 +163,8 @@ def test_equal_squeezers_remove_all_phase_dependence():
 def test_general_scenario_mean_matches_closed_form():
     port1 = GaussianPort.from_params(1.0, 0.0, 0.4, 0.0)
     port0 = GaussianPort.from_params(0.5, 0.0, 0.5, 0.0)
-    out = evolve_many(apply_first_bs(prepare(MziScenario(port1, port0), 50)), [1.0])[0]
-    assert relerr(output_stats(out)["n_diff"], -0.491799675253796) < 1e-8
+    out = evolve_many(apply_first_bs(prepare(MziScenario(port1, port0), 50)), [1.0])
+    assert relerr(output_stats(out)["n_diff"][0], -0.491799675253796) < 1e-8
 
 
 def _oracle_qfi(fm):
@@ -202,7 +204,7 @@ def test_numerical_fisher_cube_convention():
 
 def _random_state(rng, n_max):
     amps = rng.standard_normal((n_max + 1,) * 2) + 1j * rng.standard_normal((n_max + 1,) * 2)
-    return FockVector(amps / np.linalg.norm(amps), n_max)
+    return FockVector(amps / np.linalg.norm(amps))
 
 
 def _sparse_two_mode_generator(n_max, c):
@@ -243,8 +245,28 @@ def test_beam_splitter_stacks_fit_a_memory_budget():
 
 def test_evolve_many_without_phases():
     inside = apply_first_bs(prepare(MziScenario(GaussianPort.from_params(0.7), _vac()), 20))
-    assert evolve_many(inside, []) == []
-    assert evolve_many(inside, np.empty(0)) == []
+    for phis in ([], np.empty(0)):
+        out = evolve_many(inside, phis)
+        assert out.amplitudes.shape == (21, 21, 0)
+        assert all(value.shape == (0,) for value in output_stats(out, 0.4).values())
+
+
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_batch_axes_match_each_state_alone(convention, rng):
+    """A batch of phases, measured or attenuated at once, matches each phase sliced out alone."""
+    port1 = GaussianPort.from_params(1.1, 2.3, 0.5, 0.4)
+    port0 = GaussianPort.from_params(0.8, 0.9, 0.3, 4.1)
+    inside = apply_first_bs(prepare(MziScenario(port1, port0, convention), 60), convention)
+    phis = rng.uniform(0, 2 * math.pi, 5)
+    out = evolve_many(inside, phis)
+    stats = output_stats(out, port1.displacement.phase)
+    lossy = attenuate(out, 0.7).amplitudes
+    for k in range(len(phis)):
+        alone = FockVector(out.amplitudes[:, :, k])
+        for name, value in output_stats(alone, port1.displacement.phase).items():
+            assert stats[name].shape == phis.shape
+            assert abs(stats[name][k] - value) <= 1e-14 * max(abs(value), 1.0), name
+        assert np.abs(lossy[:, :, k] - attenuate(alone, 0.7).amplitudes).max() < 1e-14
 
 
 def _dense_single_mode(n_max, chi, gamma):
@@ -287,10 +309,10 @@ def test_evolve_many_matches_evolve(convention, rng):
     inside = apply_first_bs(prepare(MziScenario(port1, port0, convention), 50), convention)
     phis = rng.uniform(0, 2 * math.pi, 4)
     batch = evolve_many(inside, phis)
-    assert len(batch) == len(phis)
-    for phi, out in zip(phis, batch):
-        single = evolve_many(inside, [phi])[0]
-        assert np.abs(out.amplitudes - single.amplitudes).max() < 1e-14
+    assert batch.amplitudes.shape == (51, 51, len(phis))
+    for k, phi in enumerate(phis):
+        single = evolve_many(inside, [phi])
+        assert np.abs(batch.amplitudes[:, :, k] - single.amplitudes[:, :, 0]).max() < 1e-14
 
 
 @pytest.mark.parametrize("convention", list(BsConvention))
@@ -327,3 +349,44 @@ def test_generator_fisher_matches_central_difference(convention, rng):
         scale = max(exact.f_ss, exact.f_dd)
         for a, b in ((exact.f_ss, fd.f_ss), (exact.f_dd, fd.f_dd), (exact.f_sd, fd.f_sd)):
             assert abs(a - b) / max(abs(a), abs(b), 1e-6 * scale) < 1e-6
+
+
+def test_f_sd_sign_is_fixed_by_the_convention(rng):
+    """The closed form's F_sd is minus the oracle's in the symmetric convention and
+    plus it in the cube one, which labels the arms the other way (README, Conventions)."""
+    for case in range(20):
+        convention = BsConvention.SYMMETRIC if case % 2 == 0 else BsConvention.CUBE
+        port1 = GaussianPort.from_params(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
+        port0 = GaussianPort.from_params(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi),
+                                         rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
+        sc = MziScenario(port1, port0, convention)
+        closed = fisher_matrix(sc)
+        sign = -1.0 if convention is BsConvention.SYMMETRIC else 1.0
+        signed = sign * generator_fisher(apply_first_bs(prepare(sc, 60), convention)).f_sd
+        assert abs(closed.f_sd) > 1e-3  # a sign worth pinning
+        assert relerr(closed.f_sd, signed, floor=1e-6 * max(closed.f_ss, closed.f_dd, 1.0)) < 1e-8
+
+
+def _mzgauss_imports(path):
+    """(submodule, name) of every name a module imports from mzgauss; name None for a module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mzgauss":
+                    yield alias.name.partition(".")[2], None
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mzgauss"):
+            module = (node.module or "").removeprefix("mzgauss").lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+
+
+def test_oracle_imports_no_closed_form():
+    """The oracle takes port parameters and containers from the library, never a formula."""
+    imports = set(_mzgauss_imports(Path(oracle.__file__)))
+    assert {("states", "GaussianPort"), ("fisher", "FisherMatrix")} <= imports
+    allowed = {"states": {"GaussianPort", "PortMoments"}, "fisher": {"FisherMatrix"}}
+    for module, name in imports:
+        assert module not in ("detection", "pmc"), module
+        assert name in allowed.get(module, {name}), (module, name)
