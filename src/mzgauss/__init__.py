@@ -10,8 +10,7 @@ from .detection import (DifferenceIntensity, Homodyne, SensitivityPoint,
                         SingleModeIntensity, observable_mean,
                         observable_variance, optimal_working_point, sensitivity)
 from .fisher import FisherMatrix, fisher_matrix, qcrb, qfi, qfi_closed_form
-from .heisenberg import (HeisenbergOptima, PowerFractions, asymptotic_qfi,
-                         heisenberg_optima)
+from .heisenberg import PowerFractions, asymptotic_qfi, heisenberg_optima
 from .interferometer import BsConvention, MziScenario
 from .pmc import (PmcSet, RegimeBoundaries, apply_pmc, boundaries, classify,
                   grid_search_qfi, single_mode_alpha_lim)
@@ -19,8 +18,8 @@ from .states import Coherent, GaussianPort, PortMoments, Squeeze, port_moments
 
 __all__ = [
     "BsConvention", "Coherent", "DifferenceIntensity", "FisherMatrix",
-    "GaussianPort", "HeisenbergOptima", "Homodyne", "MziScenario", "PmcSet",
-    "PortMoments", "PowerFractions", "RegimeBoundaries", "SensitivityPoint",
+    "GaussianPort", "Homodyne", "MziScenario", "PmcSet", "PortMoments",
+    "PowerFractions", "RegimeBoundaries", "SensitivityPoint",
     "SingleModeIntensity", "Squeeze", "apply_pmc", "asymptotic_qfi",
     "boundaries", "classify", "fisher_matrix", "grid_search_qfi",
     "heisenberg_optima", "observable_mean", "observable_variance",

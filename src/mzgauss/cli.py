@@ -143,13 +143,12 @@ def _schemes_from_config(cfg: dict) -> list[str]:
     return names
 
 
-def _scheme_object(tag: str, cfg: dict) -> detection.DetectionScheme:
+def _scheme_object(tag: str, local_phase: float | None) -> detection.DetectionScheme:
     if tag == "df":
         return detection.DifferenceIntensity()
     if tag == "sg":
         return detection.SingleModeIntensity()
-    local = cfg["homodyne.local_phase"]
-    return detection.Homodyne(None if local is None else parse_angle(local, "homodyne.local_phase"))
+    return detection.Homodyne(local_phase)
 
 
 def _normalized(cfg: dict) -> dict:
@@ -266,8 +265,8 @@ def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: 
     if axis not in _SWEEP_KEYS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     tags = _schemes_from_config(cfg)
-    schemes = [_scheme_object(tag, cfg) for tag in tags]
     n = _normalized(cfg)
+    schemes = [_scheme_object(tag, n["homodyne.local_phase"]) for tag in tags]
     lo = parse_angle(start, "start") if axis == "phi" else _parse_number(start, "start")
     hi = parse_angle(stop, "stop") if axis == "phi" else _parse_number(stop, "stop")
     grid = np.linspace(lo, hi, steps)
@@ -399,7 +398,7 @@ def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
     comments = [
         f"# config: {json.dumps({'pmc': family.value, 'fractions': vals, 'n_tot': n_tot}, sort_keys=True)}",
     ]
-    for manifold in heisenberg_optima(family).manifolds:
+    for manifold in heisenberg_optima(family):
         comments.append("# optimum: " + json.dumps(manifold, sort_keys=True))
     _write_csv(out, comments,
                ["f_alpha", "f_beta", "f_r", "f_z", "n_tot",
@@ -554,7 +553,10 @@ def main(argv=None) -> int:
             if isinstance(value, (int, float)):
                 _non_negative(value, "--" + name.replace("_", "-"))
         if args.output:
-            out = open(args.output, "w", encoding="utf-8", newline="\n")
+            try:
+                out = open(args.output, "w", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {args.output}: {exc}") from None
         else:
             out = sys.stdout
         try:
@@ -573,7 +575,6 @@ def main(argv=None) -> int:
             if args.command == "verify":
                 return cmd_verify(args.samples, args.phases, args.seed, args.n_max,
                                   args.alpha_max, args.beta_max, args.squeeze_max, out, err)
-            raise ConfigError(f"unknown command {args.command!r}")
         finally:
             if args.output:
                 out.close()
@@ -586,7 +587,6 @@ def main(argv=None) -> int:
     except MzGaussError as exc:
         err.write(f"error: {exc}\n")
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveInformation, NumericalOverflow
-from .interferometer import BsConvention, MziScenario
+from .interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
 
 # sign of F_sd against Cov(N, Jy) of the folded ports: the conventions label the arms oppositely
 _SD_SIGN = {BsConvention.SYMMETRIC: -1.0, BsConvention.CUBE: 1.0}
@@ -97,8 +97,8 @@ def phase_fisher_elements(alpha, beta, r, z, theta, phi_zeta, theta_beta,
     symmetric one with port 0 rotated by -pi/2 (squeeze phase by -pi).
     """
     if convention is BsConvention.CUBE:
-        theta = np.asarray(theta) - math.pi
-        theta_beta = np.asarray(theta_beta) - 0.5 * math.pi
+        theta = np.asarray(theta) + 2.0 * CUBE_PORT0_ROTATION
+        theta_beta = np.asarray(theta_beta) + CUBE_PORT0_ROTATION
 
     c2r, s2r = np.cosh(2.0 * r), np.sinh(2.0 * r)
     c2z, s2z = np.cosh(2.0 * z), np.sinh(2.0 * z)

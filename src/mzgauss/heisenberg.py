@@ -69,18 +69,6 @@ def asymptotic_qfi(pmc: PmcSet, f: PowerFractions) -> float:
     return n2 * (4.0 * (f.f_alpha * f.f_r + f.f_beta * f.f_z + f.f_r * f.f_z - corr))
 
 
-@dataclass(frozen=True)
-class HeisenbergOptima:
-    """Fraction manifolds on which F / <N_tot>^2 attains its peak value of 1.
-
-    Each manifold is a dict of linear constraints on the fractions; keys may be
-    single fraction names or sums like ``f_alpha+f_z``.
-    """
-
-    pmc: PmcSet
-    manifolds: tuple[dict[str, float], ...]
-
-
 _OPTIMA = {
     # the split of the remaining half between f_alpha and f_z is free
     PmcSet.PMC1: ({"f_r": 0.5, "f_beta": 0.0, "f_alpha+f_z": 0.5},),
@@ -95,6 +83,10 @@ _OPTIMA = {
 }
 
 
-def heisenberg_optima(pmc: PmcSet) -> HeisenbergOptima:
-    """The manifolds of the family's regime, each a fresh dict."""
-    return HeisenbergOptima(pmc, tuple(dict(manifold) for manifold in _OPTIMA[pmc.regime]))
+def heisenberg_optima(pmc: PmcSet) -> tuple[dict[str, float], ...]:
+    """The regime's fraction manifolds on which F / <N_tot>^2 attains its peak value of 1.
+
+    Each manifold is a fresh dict of linear constraints on the fractions; keys
+    may be single fraction names or sums like ``f_alpha+f_z``.
+    """
+    return tuple(dict(manifold) for manifold in _OPTIMA[pmc.regime])

@@ -23,14 +23,16 @@ are the real rotation R(theta) = exp(theta (a0^dag a1 - a0 a1^dag)): the
 phase vectors the callers apply anyway.  So every stack is real, 1.4 MB in
 all at n_max = 60.
 
-Layout: a two-mode state is a (n_max+1) x (n_max+1) complex array; axis 0 is
-input port 0, axis 1 is input port 1.  Any trailing axes are a batch of
-states: :func:`evolve_many` returns one (dim, dim, phases) array, and
-:func:`apply_first_bs`, :func:`attenuate` and :func:`output_stats` act on
-every state of a batch at once.  After :func:`apply_first_bs` the axes hold
-the two internal modes, and after :func:`evolve_many` axis 0 reads out output
-port 4 and axis 1 output port 5.  The global phase is compensated, not
-dropped, so the usual input->output coefficient table holds exactly.
+Layout: a two-mode state is a plain (n_max+1) x (n_max+1) complex amplitude
+array; a function given a state reads n_max from its shape and never writes
+to it.  Axis 0 is input port 0, axis 1 is input port 1.  Any trailing axes
+are a batch of states: :func:`evolve_many` returns one (dim, dim, phases)
+array, and :func:`apply_first_bs`, :func:`attenuate` and
+:func:`output_stats` act on every state of a batch at once.  After
+:func:`apply_first_bs` the axes hold the two internal modes, and after
+:func:`evolve_many` axis 0 reads out output port 4 and axis 1 output port 5.
+The global phase is compensated, not dropped, so the usual input->output
+coefficient table holds exactly.
 """
 
 from __future__ import annotations
@@ -48,20 +50,6 @@ from .states import GaussianPort, PortMoments
 
 TAIL_TOL = 1e-10
 _BUCKET = 8  # sector chains are padded to a multiple of this many slots
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Two-mode pure state on the truncated basis, indexed by (n0, n1, *batch)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes.setflags(write=False)
-
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.shape[0] - 1
 
 
 def _chain_basis(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +134,15 @@ def single_mode_moments(port: GaussianPort, n_max: int = 60) -> PortMoments:
                        dm=mean_a2 - mean_a ** 2)
 
 
-def prepare(scenario: MziScenario, n_max: int = 60) -> FockVector:
-    """Normalized product state D1 S1 D0 S0 |0,0> on the truncated basis."""
+def prepare(scenario: MziScenario, n_max: int = 60) -> np.ndarray:
+    """Normalized product state D1 S1 D0 S0 |0,0>, a (n_max+1, n_max+1) amplitude array."""
     amps = np.outer(_single_mode_vector(scenario.port0, n_max),
                     _single_mode_vector(scenario.port1, n_max))
     p = np.abs(amps) ** 2
     tail = float(p[-2:, :].sum() + p[:-2, -2:].sum())  # the top two shells of either mode
     if tail >= TAIL_TOL:
         raise TruncationError(tail, n_max)
-    return FockVector(amps)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -255,22 +243,22 @@ def _i_powers(n_max: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(n_max + 1) % 4]
 
 
-def apply_first_bs(state: FockVector, convention: BsConvention = BsConvention.SYMMETRIC) -> FockVector:
-    """State just after the first beam splitter (internal modes on the two axes)."""
-    n_max = state.n_max
+def apply_first_bs(amps: np.ndarray, convention: BsConvention = BsConvention.SYMMETRIC) -> np.ndarray:
+    """State just after the first beam splitter, shaped like ``amps`` (internal modes on the two axes)."""
+    n_max = amps.shape[0] - 1
     turn = CUBE_PORT0_ROTATION if convention is BsConvention.CUBE else 0.0
     # e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, after the cube convention's turn of port 0;
     # .T puts n0 on the last axis, past any batch axes
     inner = np.exp(1j * (turn - 0.5 * math.pi) * np.arange(n_max + 1))
-    out = _apply_sectors(_balanced_stacks(n_max), (state.amplitudes.T * inner).T)
-    return FockVector((out.T * _i_powers(n_max)).T)
+    out = _apply_sectors(_balanced_stacks(n_max), (amps.T * inner).T)
+    return (out.T * _i_powers(n_max)).T
 
 
-def evolve_many(inside: FockVector, phis) -> FockVector:
+def evolve_many(inside: np.ndarray, phis) -> np.ndarray:
     """Output states at each total internal phase shift in ``phis``, as one batch.
 
-    ``inside`` is one state after the first beam splitter; the result's
-    amplitudes have shape (dim, dim, len(phis)).  Each phase applies
+    ``inside`` is one (dim, dim) state after the first beam splitter; the
+    result has shape (dim, dim, len(phis)).  Each phase applies
     exp(i phi n) to the internal mode on axis 1 together with the total-number
     compensator exp(-i (phi/2 + pi/2) N_total), which absorbs the
     otherwise-ignored global factor so that output-port observables match the
@@ -279,26 +267,26 @@ def evolve_many(inside: FockVector, phis) -> FockVector:
     beam splitter acts on all phases in one batch.  Both phases, and the beam
     splitter's inner e^{-i pi/2 n0}, factor into one vector per axis.
     """
-    n_max = inside.n_max
+    n_max = inside.shape[0] - 1
     phis = np.asarray(phis, dtype=float)
     ns = np.arange(n_max + 1)
     axis0 = np.exp(-1j * np.outer(ns, 0.5 * phis + math.pi))
     axis1 = np.exp(1j * np.outer(ns, 0.5 * phis - 0.5 * math.pi))
-    cols = inside.amplitudes[:, :, None] * axis0[:, None, :] * axis1
+    cols = inside[:, :, None] * axis0[:, None, :] * axis1
     out = _apply_sectors(_balanced_stacks(n_max), cols)
     out *= _i_powers(n_max)[:, None, None]
-    return FockVector(out)
+    return out
 
 
-def attenuate(state: FockVector, transmission: float) -> FockVector:
+def attenuate(amps: np.ndarray, transmission: float) -> np.ndarray:
     """Mix axis 0 with axis 1 on a beam splitter of intensity transmission T.
 
     Models detector loss when axis 1 holds vacuum: <n'> = T <n> on axis 0.
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
-    stacks = _rotation_stacks(state.n_max, math.acos(math.sqrt(transmission)))
-    return FockVector(_apply_sectors(stacks, state.amplitudes))
+    stacks = _rotation_stacks(amps.shape[0] - 1, math.acos(math.sqrt(transmission)))
+    return _apply_sectors(stacks, amps)
 
 
 def _apply_quadrature(amps: np.ndarray, local_phase: float) -> np.ndarray:
@@ -312,7 +300,7 @@ def _apply_quadrature(amps: np.ndarray, local_phase: float) -> np.ndarray:
     return 0.5 * out.T
 
 
-def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, np.ndarray]:
+def output_stats(amps: np.ndarray, local_phase: float = 0.0) -> dict[str, np.ndarray]:
     """<psi| O |psi> for every output observable, from one |psi|^2 and one quadrature image.
 
     ``n4``/``n5`` are the output-port photon numbers (axes 0/1 of an evolved
@@ -322,7 +310,6 @@ def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, np.nd
     the state's batch shape: one entry per phase of :func:`evolve_many`, 0-d
     for a single state.
     """
-    amps = state.amplitudes
     ns = np.arange(amps.shape[0], dtype=float)
     p = np.abs(amps) ** 2
     p4 = p.sum(axis=1)
@@ -339,7 +326,7 @@ def output_stats(state: FockVector, local_phase: float = 0.0) -> dict[str, np.nd
     }
 
 
-def generator_fisher(inside: FockVector) -> FisherMatrix:
+def generator_fisher(inside: np.ndarray) -> FisherMatrix:
     """Two-parameter Fisher matrix of the state after the first beam splitter.
 
     The two arm phases act as exp(i phi_1 n) and exp(i phi_2 n) on the internal
@@ -349,8 +336,8 @@ def generator_fisher(inside: FockVector) -> FisherMatrix:
     generators G_s = (n_ax1 + n_ax0)/2 and G_d = (n_ax1 - n_ax0)/2 are diagonal,
     and for a pure state the matrix is 4 Cov(G_a, G_b) over |psi|^2.
     """
-    p = np.abs(inside.amplitudes) ** 2
-    ns = np.arange(inside.n_max + 1, dtype=float)
+    p = np.abs(inside) ** 2
+    ns = np.arange(inside.shape[0], dtype=float)
     g_s = 0.5 * (ns[None, :] + ns[:, None])
     g_d = 0.5 * (ns[None, :] - ns[:, None])
     d_s = g_s - np.sum(p * g_s)

@@ -22,7 +22,7 @@ import numpy as np
 from ._minimize import grid_minimize
 from .errors import NumericalOverflow, UndefinedBoundary
 from .fisher import pmc_qfis, qfi_closed_form
-from .interferometer import BsConvention
+from .interferometer import CUBE_PORT0_ROTATION, BsConvention
 from .states import TWO_PI, GaussianPort
 
 
@@ -70,8 +70,8 @@ def apply_pmc(pmc: PmcSet, theta_alpha: float, alpha: float, beta: float,
         phi_zeta = 2.0 * theta_beta
 
     if convention is BsConvention.CUBE:
-        theta += math.pi
-        theta_beta += 0.5 * math.pi
+        theta -= 2.0 * CUBE_PORT0_ROTATION
+        theta_beta -= CUBE_PORT0_ROTATION
 
     port1 = GaussianPort.from_params(alpha, theta_alpha, z, phi_zeta)
     port0 = GaussianPort.from_params(beta, theta_beta, r, theta)

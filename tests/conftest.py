@@ -21,7 +21,7 @@ def satisfies_optimum(pmc, f, tol=1e-6) -> bool:
     values = {"f_alpha": f.f_alpha, "f_beta": f.f_beta, "f_r": f.f_r, "f_z": f.f_z}
     return any(all(abs(sum(values[part] for part in key.split("+")) - target) <= tol
                    for key, target in manifold.items())
-               for manifold in heisenberg_optima(pmc).manifolds)
+               for manifold in heisenberg_optima(pmc))
 
 
 @pytest.fixture

@@ -352,8 +352,8 @@ def test_criterion_10_two_squeezer_structure():
                                      GaussianPort.from_params(0, 0, r, theta)), 60)
     v_b = oracle.prepare(MziScenario(GaussianPort.from_params(0, 0, r, theta + math.pi),
                                      GaussianPort.vacuum()), 60)
-    target = oracle.FockVector(np.outer(v_a.amplitudes[:, 0], v_b.amplitudes[0, :]))
-    fidelity = abs(np.vdot(inside.amplitudes, target.amplitudes)) ** 2
+    target = np.outer(v_a[:, 0], v_b[0, :])
+    fidelity = abs(np.vdot(inside, target)) ** 2
 
     port = GaussianPort.from_params(0, 0, 0.5, 0.4)  # zeta = xi
     equal = oracle.apply_first_bs(oracle.prepare(MziScenario(port, port), 60))

@@ -287,6 +287,14 @@ def test_out_of_range_inputs_exit_without_traceback(argv, code, capsys):
     assert "Traceback" not in err
 
 
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    assert main(["qfi", "-o", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output file {path}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("shots,count", [("2", 2), ("2.0", 2), ("1e3", 1000)])
 def test_integral_shots_in_any_notation(shots, count, capsys):
     assert main(["qfi", "--set", "port1.alpha.magnitude=1", "--set", f"shots={shots}"]) == 0

@@ -93,9 +93,9 @@ def test_validation():
 
 
 def test_optima_descriptions():
-    assert heisenberg_optima(PmcSet.PMC1).manifolds == ({"f_r": 0.5, "f_beta": 0.0, "f_alpha+f_z": 0.5},)
-    assert len(heisenberg_optima(PmcSet.PMC2).manifolds) == 2
-    assert heisenberg_optima(PmcSet.PMC3).manifolds[0]["f_r"] == 0.5
+    assert heisenberg_optima(PmcSet.PMC1) == ({"f_r": 0.5, "f_beta": 0.0, "f_alpha+f_z": 0.5},)
+    assert len(heisenberg_optima(PmcSet.PMC2)) == 2
+    assert heisenberg_optima(PmcSet.PMC3)[0]["f_r"] == 0.5
 
 
 @pytest.mark.parametrize("fractions", [
@@ -137,7 +137,7 @@ def test_every_family_uses_its_regime_closed_forms(pmc):
         assert abs(asymptotic_qfi(pmc, f) / n ** 2 - exact / n ** 2) < 1e-9, fractions
 
     n = 1e8
-    for manifold in heisenberg_optima(pmc).manifolds:
+    for manifold in heisenberg_optima(pmc):
         values = dict.fromkeys(("f_alpha", "f_beta", "f_r", "f_z"), 0.0)
         for key, target in manifold.items():  # a summed key is split evenly
             parts = key.split("+")
@@ -146,7 +146,7 @@ def test_every_family_uses_its_regime_closed_forms(pmc):
         assert abs(qfi_closed_form(*f.to_magnitudes(), pmc=pmc) / n ** 2 - 1.0) < 1e-6, manifold
 
     regime = _REGIMES[pmc]
-    assert heisenberg_optima(pmc).manifolds == heisenberg_optima(regime).manifolds
+    assert heisenberg_optima(pmc) == heisenberg_optima(regime)
     for convention in BsConvention:
         for magnitudes in ((1.3, 0.7, 0.6, 0.4), (2.0, 0.0, 0.3, 0.9)):
             assert (apply_pmc(pmc, 0.8, *magnitudes, convention)

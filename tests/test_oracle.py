@@ -14,9 +14,9 @@ from mzgauss import oracle
 from mzgauss.errors import TruncationError
 from mzgauss.fisher import FisherMatrix, fisher_matrix, qfi, qfi_closed_form
 from mzgauss.interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
-from mzgauss.oracle import (FockVector, _single_mode_vector, apply_first_bs,
-                            attenuate, evolve_many, generator_fisher,
-                            output_stats, prepare, single_mode_moments)
+from mzgauss.oracle import (_single_mode_vector, apply_first_bs, attenuate,
+                            evolve_many, generator_fisher, output_stats,
+                            prepare, single_mode_moments)
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort
 
@@ -29,14 +29,14 @@ def _vac():
 
 def test_prepare_vacuum():
     state = prepare(MziScenario(_vac(), _vac()), 20)
-    assert state.amplitudes[0, 0] == pytest.approx(1.0)
-    assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-14)
-    assert abs(state.amplitudes[1:, :]).max() == 0.0
+    assert state[0, 0] == pytest.approx(1.0)
+    assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-14)
+    assert abs(state[1:, :]).max() == 0.0
 
 
 def test_prepare_coherent_poisson_amplitudes():
     state = prepare(MziScenario(GaussianPort.from_params(1.0), _vac()), 40)
-    col = state.amplitudes[0, :]  # port 1 lives on axis 1
+    col = state[0, :]  # port 1 lives on axis 1
     for n in range(8):
         expected = math.exp(-0.5) / math.sqrt(math.factorial(n))
         assert col[n].real == pytest.approx(expected, rel=1e-12)
@@ -47,7 +47,7 @@ def test_prepare_squeezed_vacuum_amplitudes():
     """Even-number amplitudes follow the tanh/cosh decomposition."""
     s, phase = 0.5, 0.9
     state = prepare(MziScenario(_vac(), GaussianPort.from_params(0, 0, s, phase)), 60)
-    col = state.amplitudes[:, 0]  # port 0 lives on axis 0
+    col = state[:, 0]  # port 0 lives on axis 0
     tau = -np.exp(1j * phase) * math.tanh(s)
     for n in range(0, 12, 2):
         k = n // 2
@@ -73,7 +73,7 @@ def test_evolve_preserves_norm_and_energy(rng):
     energy_in = stats["n4"][0] + stats["n5"][0]
     for conv in BsConvention:
         out = evolve_many(apply_first_bs(state, conv), rng.uniform(0, 2 * math.pi, 3))
-        assert np.abs(np.linalg.norm(out.amplitudes, axis=(0, 1)) - 1.0).max() < 1e-12
+        assert np.abs(np.linalg.norm(out, axis=(0, 1)) - 1.0).max() < 1e-12
         stats = output_stats(out)
         assert np.abs(stats["n4"] + stats["n5"] - energy_in).max() < 1e-10
 
@@ -91,7 +91,7 @@ def test_single_photon_interference():
     amps = np.zeros((12, 12), dtype=complex)
     amps[0, 1] = 1.0
     phis = np.array([0.0, 0.7, math.pi / 2, 2.5])
-    n4 = output_stats(evolve_many(apply_first_bs(FockVector(amps)), phis))["n4"]
+    n4 = output_stats(evolve_many(apply_first_bs(amps), phis))["n4"]
     assert n4 == pytest.approx(np.cos(phis / 2) ** 2, abs=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_output_stats_match_explicit_operators(convention, rng):
         local = float(rng.uniform(0, 2 * math.pi))
         inside = apply_first_bs(prepare(MziScenario(port1, port0, convention), n_max), convention)
         out = evolve_many(inside, [rng.uniform(0, 2 * math.pi)])
-        psi = out.amplitudes[:, :, 0]
+        psi = out[:, :, 0]
         quad = 0.5 * (np.exp(-1j * local) * a + np.exp(1j * local) * a.T)
         n4, n5, x = n @ psi, psi @ n.T, quad @ psi
         diff = n4 - n5
@@ -141,8 +141,8 @@ def test_opposite_squeezers_pass_the_first_bs_unattenuated():
 
     v_plus = prepare(MziScenario(_vac(), GaussianPort.from_params(0, 0, r, theta)), 60)
     v_minus = prepare(MziScenario(GaussianPort.from_params(0, 0, r, theta + math.pi), _vac()), 60)
-    target = FockVector(np.outer(v_plus.amplitudes[:, 0], v_minus.amplitudes[0, :]))
-    assert abs(np.vdot(inside.amplitudes, target.amplitudes)) ** 2 >= 1.0 - 1e-8
+    target = np.outer(v_plus[:, 0], v_minus[0, :])
+    assert abs(np.vdot(inside, target)) ** 2 >= 1.0 - 1e-8
 
 
 def test_equal_squeezers_remove_all_phase_dependence():
@@ -204,7 +204,7 @@ def test_numerical_fisher_cube_convention():
 
 def _random_state(rng, n_max):
     amps = rng.standard_normal((n_max + 1,) * 2) + 1j * rng.standard_normal((n_max + 1,) * 2)
-    return FockVector(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def _sparse_two_mode_generator(n_max, c):
@@ -219,17 +219,17 @@ def test_sector_beam_splitters_match_sparse_expm(n_max, rng):
     """Sector stacks at truncations whose largest sector (n_max + 1 states) fills
     a bucket of width 8 (n_max 7, 15), spills one past it (8, 16) or sits inside one."""
     state = _random_state(rng, n_max)
-    flat = state.amplitudes.reshape(-1)
+    flat = state.reshape(-1)
     bs = expm_multiply(_sparse_two_mode_generator(n_max, 0.25j * math.pi), flat)
-    assert np.abs(apply_first_bs(state).amplitudes.reshape(-1) - bs).max() < 1e-12
-    turned = state.amplitudes * np.exp(1j * CUBE_PORT0_ROTATION * np.arange(n_max + 1))[:, None]
+    assert np.abs(apply_first_bs(state).reshape(-1) - bs).max() < 1e-12
+    turned = state * np.exp(1j * CUBE_PORT0_ROTATION * np.arange(n_max + 1))[:, None]
     bs_cube = expm_multiply(_sparse_two_mode_generator(n_max, 0.25j * math.pi), turned.reshape(-1))
-    cube = apply_first_bs(state, BsConvention.CUBE).amplitudes.reshape(-1)
+    cube = apply_first_bs(state, BsConvention.CUBE).reshape(-1)
     assert np.abs(cube - bs_cube).max() < 1e-12
     for transmission in (0.0, 0.3, 0.85, 1.0):
         theta = math.acos(math.sqrt(transmission))
         lossy = expm_multiply(_sparse_two_mode_generator(n_max, theta), flat)
-        assert np.abs(attenuate(state, transmission).amplitudes.reshape(-1) - lossy).max() < 1e-12
+        assert np.abs(attenuate(state, transmission).reshape(-1) - lossy).max() < 1e-12
 
 
 def test_beam_splitter_stacks_fit_a_memory_budget():
@@ -247,7 +247,7 @@ def test_evolve_many_without_phases():
     inside = apply_first_bs(prepare(MziScenario(GaussianPort.from_params(0.7), _vac()), 20))
     for phis in ([], np.empty(0)):
         out = evolve_many(inside, phis)
-        assert out.amplitudes.shape == (21, 21, 0)
+        assert out.shape == (21, 21, 0)
         assert all(value.shape == (0,) for value in output_stats(out, 0.4).values())
 
 
@@ -260,13 +260,34 @@ def test_batch_axes_match_each_state_alone(convention, rng):
     phis = rng.uniform(0, 2 * math.pi, 5)
     out = evolve_many(inside, phis)
     stats = output_stats(out, port1.displacement.phase)
-    lossy = attenuate(out, 0.7).amplitudes
+    lossy = attenuate(out, 0.7)
     for k in range(len(phis)):
-        alone = FockVector(out.amplitudes[:, :, k])
+        alone = out[:, :, k]
         for name, value in output_stats(alone, port1.displacement.phase).items():
             assert stats[name].shape == phis.shape
             assert abs(stats[name][k] - value) <= 1e-14 * max(abs(value), 1.0), name
-        assert np.abs(lossy[:, :, k] - attenuate(alone, 0.7).amplitudes).max() < 1e-14
+        assert np.abs(lossy[:, :, k] - attenuate(alone, 0.7)).max() < 1e-14
+
+
+@pytest.mark.parametrize("convention", list(BsConvention))
+def test_states_are_never_written_in_place(convention, rng):
+    """Every function leaves the amplitude array it is given bit-identical.
+
+    ``verify`` passes one internal state to both ``evolve_many`` and
+    ``generator_fisher``, so neither may write to it; the same holds for a batch.
+    """
+    port1 = GaussianPort.from_params(1.1, 2.3, 0.5, 0.4)
+    port0 = GaussianPort.from_params(0.8, 0.9, 0.3, 4.1)
+    inside = apply_first_bs(prepare(MziScenario(port1, port0, convention), 40), convention)
+    batch = evolve_many(inside, rng.uniform(0, 2 * math.pi, 3))
+    calls = [lambda s: apply_first_bs(s, convention), lambda s: attenuate(s, 0.7),
+             lambda s: output_stats(s, 0.3)]
+    for state, extra in ((inside, [lambda s: evolve_many(s, [0.0, 1.0]), generator_fisher]),
+                         (batch, [])):
+        for call in calls + extra:
+            before = state.copy()
+            call(state)
+            assert state.tobytes() == before.tobytes()
 
 
 def _dense_single_mode(n_max, chi, gamma):
@@ -309,10 +330,10 @@ def test_evolve_many_matches_evolve(convention, rng):
     inside = apply_first_bs(prepare(MziScenario(port1, port0, convention), 50), convention)
     phis = rng.uniform(0, 2 * math.pi, 4)
     batch = evolve_many(inside, phis)
-    assert batch.amplitudes.shape == (51, 51, len(phis))
+    assert batch.shape == (51, 51, len(phis))
     for k, phi in enumerate(phis):
         single = evolve_many(inside, [phi])
-        assert np.abs(batch.amplitudes[:, :, k] - single.amplitudes[:, :, 0]).max() < 1e-14
+        assert np.abs(batch[:, :, k] - single[:, :, 0]).max() < 1e-14
 
 
 @pytest.mark.parametrize("convention", list(BsConvention))
@@ -325,7 +346,7 @@ def test_generator_fisher_matches_central_difference(convention, rng):
         port0 = GaussianPort.from_params(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi),
                                          rng.uniform(0, 0.6), rng.uniform(0, 2 * math.pi))
         state = prepare(MziScenario(port1, port0, convention), n_max)
-        amps = state.amplitudes
+        amps = state
         if convention is BsConvention.CUBE:
             amps = amps * np.exp(1j * CUBE_PORT0_ROTATION * np.arange(n_max + 1))[:, None]
         # the first beam splitter, built here from the full sparse generator
