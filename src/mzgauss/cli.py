@@ -6,7 +6,8 @@ atlas over the coherent amplitudes), ``heisenberg`` (power-fraction scaling)
 and ``verify`` (closed-form vs Fock-oracle equivalence suite).
 
 CSV goes to stdout or ``-o``; the human-readable report goes to stderr.  Output
-bytes are a pure function of config plus seed.  Exit codes: 0 success,
+bytes are a pure function of config plus seed, and an ``-o`` file is replaced
+only by a command that exits 0.  Exit codes: 0 success,
 2 config error, 3 verification failure, 4 truncation error.
 """
 
@@ -16,7 +17,10 @@ import argparse
 import functools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from typing import IO
 
 import numpy as np
@@ -543,6 +547,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_output(path: str) -> tuple[IO[str], str | None]:
+    """The ``-o`` stream, and the staging file that :func:`_close_output` moves onto ``path``.
+
+    A regular file is written to a fresh file beside it, with the old file's
+    mode or the mode ``open`` would give a new one, so that a command that
+    fails leaves an existing file byte-identical; a device or a pipe is
+    written directly.  A symbolic link is followed to the file it names.
+    """
+    target = os.path.realpath(path)
+    try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            return open(target, "w", encoding="utf-8", newline="\n"), None
+        head, name = os.path.split(target)
+        fd, staging = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+    if os.path.exists(target):
+        shutil.copymode(target, staging)
+    else:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(staging, 0o666 & ~umask)
+    return os.fdopen(fd, "w", encoding="utf-8", newline="\n"), staging
+
+
+def _close_output(stream: IO[str], staging: str | None, path: str, success: bool) -> None:
+    stream.close()
+    if staging is None:
+        return
+    if not success:
+        os.unlink(staging)
+        return
+    try:
+        os.replace(staging, os.path.realpath(path))
+    except OSError as exc:
+        os.unlink(staging)
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+
+
+def _run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
+    if args.command == "qfi":
+        return cmd_qfi(load_config(args.config, args.set), out, err)
+    if args.command == "sweep":
+        cfg = load_config(args.config, args.set)
+        return cmd_sweep(cfg, args.axis, args.start, args.stop, args.steps, out, err)
+    if args.command == "regimes":
+        return cmd_regimes(args.r, args.z, args.alpha_min, args.alpha_max,
+                           args.beta_min, args.beta_max, args.points,
+                           args.spacing, out, err)
+    if args.command == "heisenberg":
+        return cmd_heisenberg(args.pmc, args.fractions, args.n_tot, out, err)
+    return cmd_verify(args.samples, args.phases, args.seed, args.n_max,
+                      args.alpha_max, args.beta_max, args.squeeze_max, out, err)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -552,32 +611,15 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():  # every number flag, e.g. --r or --seed
             if isinstance(value, (int, float)):
                 _non_negative(value, "--" + name.replace("_", "-"))
-        if args.output:
-            try:
-                out = open(args.output, "w", encoding="utf-8", newline="\n")
-            except OSError as exc:
-                raise ConfigError(f"cannot write output file {args.output}: {exc}") from None
-        else:
-            out = sys.stdout
+        if not args.output:
+            return _run(args, sys.stdout, err)
+        out, staging = _open_output(args.output)
+        code = None
         try:
-            if args.command == "qfi":
-                cfg = load_config(args.config, args.set)
-                return cmd_qfi(cfg, out, err)
-            if args.command == "sweep":
-                cfg = load_config(args.config, args.set)
-                return cmd_sweep(cfg, args.axis, args.start, args.stop, args.steps, out, err)
-            if args.command == "regimes":
-                return cmd_regimes(args.r, args.z, args.alpha_min, args.alpha_max,
-                                   args.beta_min, args.beta_max, args.points,
-                                   args.spacing, out, err)
-            if args.command == "heisenberg":
-                return cmd_heisenberg(args.pmc, args.fractions, args.n_tot, out, err)
-            if args.command == "verify":
-                return cmd_verify(args.samples, args.phases, args.seed, args.n_max,
-                                  args.alpha_max, args.beta_max, args.squeeze_max, out, err)
+            code = _run(args, out, err)
         finally:
-            if args.output:
-                out.close()
+            _close_output(out, staging, args.output, code == 0)
+        return code
     except ConfigError as exc:
         err.write(f"config error: {exc}\n")
         return 2

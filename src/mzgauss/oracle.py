@@ -17,11 +17,19 @@ n_max and cached.
 The 2 n_max + 1 beam-splitter chains are applied as a few stacked products,
 not one by one: each chain is padded to a multiple of :data:`_BUCKET` states,
 the chains of one padded width form one (B, w, w) stack, and one index plan
-per n_max gathers the state into that layout and back.  Both beam splitters
-are the real rotation R(theta) = exp(theta (a0^dag a1 - a0 a1^dag)): the
-50/50 one is e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, whose two phases join the
-phase vectors the callers apply anyway.  So every stack is real, 1.4 MB in
-all at n_max = 60.
+per n_max lays the states out in those slots.  Both beam splitters are the
+real rotation R(theta) = exp(theta (a0^dag a1 - a0 a1^dag)): the 50/50 one
+is e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, whose two phases join the phase
+vectors the callers apply anyway.  So every stack is real, 1.4 MB in all at
+n_max = 60.  A beam splitter gathers its states into the slot layout once,
+applies every phase diagonal there through each slot's cached (n0, n1),
+rotates the slots in place bucket by bucket and takes them back once; the
+phased batch of :func:`evolve_many` is built in that layout directly.  So a
+case of ``verify`` makes a few state-sized arrays, not one per step.
+
+Measurement reads |psi|^2 once for the counts, and the quadrature from the
+ladder moments <a> and <a^2>, sums over shifted slices of psi, instead of
+building X psi (:func:`output_stats`).
 
 Layout: a two-mode state is a plain (n_max+1) x (n_max+1) complex amplitude
 array; a function given a state reads n_max from its shape and never writes
@@ -153,12 +161,16 @@ class _SectorPlan:
     and the sectors of one padded width w form a bucket of B rows.  ``gather``
     holds the flat index each slot reads (pad slots read index 0, which the
     zeroed pad rows and columns of every stack then ignore), ``inverse`` the
-    slot that holds each flat index, and each bucket is (slots, sub-diagonals
+    slot that holds each flat index, ``n0`` and ``n1`` the Fock indices that
+    each slot reads, so that a phase diagonal in the Fock basis multiplies
+    the slots directly, and each bucket is (slots, sub-diagonals
     of shape (B, w - 1), real-slot mask of shape (B, w)).
     """
 
     gather: np.ndarray
     inverse: np.ndarray
+    n0: np.ndarray
+    n1: np.ndarray
     buckets: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
 
 
@@ -186,7 +198,8 @@ def _sector_plan(n_max: int) -> _SectorPlan:
     slots = np.concatenate([real.reshape(-1) for _, _, real in buckets])
     inverse = np.empty(dim * dim, dtype=np.intp)
     inverse[gather[slots]] = np.flatnonzero(slots)
-    return _SectorPlan(gather, inverse, tuple(buckets))
+    n0, n1 = np.divmod(gather, dim)
+    return _SectorPlan(gather, inverse, n0, n1, tuple(buckets))
 
 
 def _rotation_stacks(n_max: int, theta: float) -> tuple[np.ndarray, ...]:
@@ -221,21 +234,28 @@ def _balanced_stacks(n_max: int) -> tuple[np.ndarray, ...]:
     return _rotation_stacks(n_max, 0.25 * math.pi)
 
 
-def _apply_sectors(stacks, amps: np.ndarray) -> np.ndarray:
-    """Apply a sector-stacked real rotation to each state of ``amps``, of shape (dim, dim, *batch).
+def _gather(plan: _SectorPlan, amps: np.ndarray) -> np.ndarray:
+    """``amps``, of shape (dim, dim, *batch), in the plan's slot layout: one column per state."""
+    cols = np.asarray(amps, dtype=complex).reshape(len(plan.inverse), math.prod(amps.shape[2:]))
+    return np.take(cols, plan.gather, axis=0)
 
-    The batch becomes the k columns of a (dim^2, k) layout, real and imaginary
-    parts side by side as 2k real columns, so each bucket is one real stacked
-    product.
+
+def _scatter(plan: _SectorPlan, slots: np.ndarray, shape: tuple) -> np.ndarray:
+    """The states of ``slots`` back in the (dim, dim, *batch) layout of ``shape``."""
+    return np.take(slots, plan.inverse, axis=0).reshape(shape)
+
+
+def _apply_sectors(plan: _SectorPlan, stacks, slots: np.ndarray) -> None:
+    """Apply a sector-stacked real rotation in place to ``slots``, the plan's (slots, k) layout.
+
+    The real view puts each column's real and imaginary parts side by side as
+    2k real columns, so each bucket is one real stacked product; only its
+    bucket-sized result is a new array.
     """
-    plan = _sector_plan(amps.shape[0] - 1)
-    cols = np.ascontiguousarray(amps, dtype=complex).reshape(len(plan.inverse), math.prod(amps.shape[2:]))
-    slots = np.take(cols.view(float), plan.gather, axis=0)
-    out = np.empty_like(slots)
+    cols = slots.view(float)
     for (part, _, real), stack in zip(plan.buckets, stacks):
-        shape = real.shape + (slots.shape[1],)
-        np.matmul(stack, slots[part].reshape(shape), out=out[part].reshape(shape))
-    return np.take(out, plan.inverse, axis=0).view(complex).reshape(amps.shape)
+        block = cols[part].reshape(real.shape + (cols.shape[1],))
+        block[...] = stack @ block
 
 
 def _i_powers(n_max: int) -> np.ndarray:
@@ -246,12 +266,15 @@ def _i_powers(n_max: int) -> np.ndarray:
 def apply_first_bs(amps: np.ndarray, convention: BsConvention = BsConvention.SYMMETRIC) -> np.ndarray:
     """State just after the first beam splitter, shaped like ``amps`` (internal modes on the two axes)."""
     n_max = amps.shape[0] - 1
+    plan = _sector_plan(n_max)
     turn = CUBE_PORT0_ROTATION if convention is BsConvention.CUBE else 0.0
-    # e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, after the cube convention's turn of port 0;
-    # .T puts n0 on the last axis, past any batch axes
+    # e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, after the cube convention's turn of port 0
     inner = np.exp(1j * (turn - 0.5 * math.pi) * np.arange(n_max + 1))
-    out = _apply_sectors(_balanced_stacks(n_max), (amps.T * inner).T)
-    return (out.T * _i_powers(n_max)).T
+    slots = _gather(plan, amps)
+    slots *= inner[plan.n0, None]
+    _apply_sectors(plan, _balanced_stacks(n_max), slots)
+    slots *= _i_powers(n_max)[plan.n0, None]
+    return _scatter(plan, slots, amps.shape)
 
 
 def evolve_many(inside: np.ndarray, phis) -> np.ndarray:
@@ -265,15 +288,22 @@ def evolve_many(inside: np.ndarray, phis) -> np.ndarray:
     coefficient-table convention exactly (homodyne included).  The compensator
     commutes with the beam splitters, so it is applied here, and the second
     beam splitter acts on all phases in one batch.  Both phases, and the beam
-    splitter's inner e^{-i pi/2 n0}, factor into one vector per axis.
+    splitter's inner e^{-i pi/2 n0}, factor into one vector per axis, which
+    the slots read by their (n0, n1): the phased batch is built in the slot
+    layout, rotated there in place, and taken back once.
     """
     n_max = inside.shape[0] - 1
+    plan = _sector_plan(n_max)
     phis = np.asarray(phis, dtype=float)
     ns = np.arange(n_max + 1)
     axis0 = np.exp(-1j * np.outer(ns, 0.5 * phis + math.pi))
     axis1 = np.exp(1j * np.outer(ns, 0.5 * phis - 0.5 * math.pi))
-    cols = inside[:, :, None] * axis0[:, None, :] * axis1
-    out = _apply_sectors(_balanced_stacks(n_max), cols)
+    slots = np.take(axis0, plan.n0, axis=0)
+    # inside[:, :, None] * axis0[:, None, :] * axis1, slot by slot and in that order
+    np.multiply(_gather(plan, inside), slots, out=slots)
+    slots *= np.take(axis1, plan.n1, axis=0)
+    _apply_sectors(plan, _balanced_stacks(n_max), slots)
+    out = _scatter(plan, slots, inside.shape + axis0.shape[1:])
     out *= _i_powers(n_max)[:, None, None]
     return out
 
@@ -285,44 +315,53 @@ def attenuate(amps: np.ndarray, transmission: float) -> np.ndarray:
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
-    stacks = _rotation_stacks(amps.shape[0] - 1, math.acos(math.sqrt(transmission)))
-    return _apply_sectors(stacks, amps)
-
-
-def _apply_quadrature(amps: np.ndarray, local_phase: float) -> np.ndarray:
-    """X_{phi_L} = (e^{-i phi_L} a + e^{i phi_L} a^dag)/2 acting on axis 0."""
-    flip = amps.T  # axis 0 last, so a vector over n0 broadcasts past any batch axes
-    root = np.sqrt(np.arange(1.0, amps.shape[0]))
-    out = np.zeros_like(flip)
-    # a: out[n] += sqrt(n+1) amps[n+1];  a^dag: out[n] += sqrt(n) amps[n-1]
-    out[..., :-1] += np.exp(-1j * local_phase) * root * flip[..., 1:]
-    out[..., 1:] += np.exp(1j * local_phase) * root * flip[..., :-1]
-    return 0.5 * out.T
+    n_max = amps.shape[0] - 1
+    plan = _sector_plan(n_max)
+    slots = _gather(plan, amps)
+    _apply_sectors(plan, _rotation_stacks(n_max, math.acos(math.sqrt(transmission))), slots)
+    return _scatter(plan, slots, amps.shape)
 
 
 def output_stats(amps: np.ndarray, local_phase: float = 0.0) -> dict[str, np.ndarray]:
-    """<psi| O |psi> for every output observable, from one |psi|^2 and one quadrature image.
+    """<psi| O |psi> for every output observable, from |psi|^2 and two ladder moments.
 
     ``n4``/``n5`` are the output-port photon numbers (axes 0/1 of an evolved
     state), ``n_diff`` their difference, ``*_sq`` the squared operators, and
-    ``quad``/``quad_sq`` the port-4 quadrature at local-oscillator phase
+    ``quad``/``quad_sq`` the port-4 quadrature
+    X = (e^{-i phi_L} a + e^{i phi_L} a^dag)/2 at local-oscillator phase
     ``local_phase``.  Each value is reduced over axes 0 and 1 only, so it has
     the state's batch shape: one entry per phase of :func:`evolve_many`, 0-d
     for a single state.
+
+    The counts come from the two marginals of |psi|^2 and the cross moment
+    <n4 n5>.  The quadrature comes from <a> and <a^2> on axis 0, sums over
+    shifted slices of psi: <X> = Re(e^{-i phi_L} <a>) and, with the truncated
+    operators, X^2 = (e^{-2i phi_L} a^2 + h.c. + a a^dag + a^dag a)/4, where
+    a a^dag is n + 1 except on the top shell, where it is 0.  So <X^2> is
+    Re(e^{-2i phi_L} <a^2>)/2 + <n4>/2 + (1 - (n_max + 1) P4(n_max))/4, the
+    same truncated operator that acting with X and squaring measures.
     """
-    ns = np.arange(amps.shape[0], dtype=float)
-    p = np.abs(amps) ** 2
-    p4 = p.sum(axis=1)
-    diff = ns[:, None] - ns[None, :]
-    xv = _apply_quadrature(amps, local_phase)
+    n_max = amps.shape[0] - 1
+    ns = np.arange(n_max + 1, dtype=float)
+    p = np.abs(amps)
+    p *= p
+    p4, p5 = np.einsum("ij...->i...", p), p.sum(axis=0)
+    n4, n5 = np.tensordot(ns, p4, axes=1), np.tensordot(ns, p5, axes=1)
+    n4_sq = np.tensordot(ns ** 2, p4, axes=1)
+    cross = np.tensordot(ns, np.tensordot(ns, p, axes=1), axes=1)  # <n4 n5>
+    # <a> = sum sqrt(n+1) psi*[n] psi[n+1] and <a^2> likewise; vecdot conjugates its first argument
+    root = np.sqrt(ns[1:])
+    mean_a = np.tensordot(root, np.vecdot(amps[:-1], amps[1:], axis=1), axes=1)
+    mean_a2 = np.tensordot(root[:-1] * root[1:], np.vecdot(amps[:-2], amps[2:], axis=1), axes=1)
     return {
-        "n4": np.tensordot(ns, p4, axes=1),
-        "n5": np.tensordot(ns, p.sum(axis=0), axes=1),
-        "n_diff": np.tensordot(diff, p, axes=2),
-        "n4_sq": np.tensordot(ns ** 2, p4, axes=1),
-        "n_diff_sq": np.tensordot(diff ** 2, p, axes=2),
-        "quad": np.sum(amps.conj() * xv, axis=(0, 1)).real,
-        "quad_sq": np.sum(np.abs(xv) ** 2, axis=(0, 1)),
+        "n4": n4,
+        "n5": n5,
+        "n_diff": n4 - n5,
+        "n4_sq": n4_sq,
+        "n_diff_sq": n4_sq + np.tensordot(ns ** 2, p5, axes=1) - 2.0 * cross,
+        "quad": (np.exp(-1j * local_phase) * mean_a).real,
+        "quad_sq": (0.5 * (np.exp(-2j * local_phase) * mean_a2).real + 0.5 * n4
+                    + 0.25 * (1.0 - (n_max + 1) * p4[-1])),
     }
 
 

@@ -295,6 +295,77 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["qfi", "--set", "bogus=1"], 2),
+    (["regimes", "--r", "2.3", "--z", "2.2", "--alpha-max", "1e200", "--points", "2"], 3),
+    (["verify", "--alpha-max", "30"], 4),
+])
+def test_failed_command_leaves_the_output_file_as_it_was(argv, code, tmp_path, capsys):
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"case,value\n0,1\n")
+    assert main([*argv, "-o", str(path)]) == code
+    assert path.read_bytes() == b"case,value\n0,1\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["keep.csv"]  # no staging file left
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_successful_command_replaces_the_output_file(tmp_path, capsys):
+    path = tmp_path / "keep.csv"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    assert main(["qfi", "--set", "port1.alpha.magnitude=2", "-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    header, rows = _rows(path.read_text())
+    assert header == ["f_ss", "f_dd", "f_sd", "qfi", "qcrb"] and float(rows[0][3]) == 4.0
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert [entry.name for entry in tmp_path.iterdir()] == ["keep.csv"]
+
+
+_CONFIG_FILES = {"list.json": "[1, 2]", "unknown.json": '{"bogus": 1}'}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["qfi", "--set", "convention=foo"],
+     "field convention: expected symmetric|cube, got 'foo'"),
+    (["qfi", "--set", "pmc=foo"], "field pmc: expected one of pmc1, "),
+    (["qfi", "--set", "x"], "--set expects key=value, got 'x'"),
+    (["qfi", "--set", "phase=abc"], "field phase: cannot parse angle 'abc'"),
+    (["qfi", "--config", "{dir}/missing.json"], "cannot read config file {dir}/missing.json: "),
+    (["qfi", "--config", "{dir}/list.json"], "{dir}/list.json: top level must be a flat JSON object"),
+    (["qfi", "--config", "{dir}/unknown.json"], "{dir}/unknown.json: unknown config key 'bogus'"),
+    (["regimes", "--r", "1", "--z", "1", "--points", "0"], "regimes requires points >= 1"),
+    (["heisenberg", "--pmc", "pmc2", "--fractions", "1,1,1"],
+     "--fractions expects f_alpha,f_beta,f_r,f_z"),
+    (["sweep", "--axis", "eta", "--start", "0", "--stop", "1", "--steps", "3"],
+     "efficiency must be in (0, 1], got 0.0"),
+])
+def test_config_errors_name_their_cause(argv, message, tmp_path, capsys):
+    for name, text in _CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message.format(dir=tmp_path)), err
+    assert "Traceback" not in err
+
+
+def test_verify_fails_on_a_planted_defect(monkeypatch, capsys):
+    """Closed-form means raised by 1e-7 relative fail exactly the 12 mean rows of 30."""
+    exact = detection.observable_stats
+
+    def planted(scheme, scenario, phases):
+        means, variances = exact(scheme, scenario, phases)
+        return means * (1.0 + 1e-7), variances
+
+    monkeypatch.setattr(detection, "observable_stats", planted)
+    assert main(["verify", "--samples", "2", "--phases", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "verify: 12 of 30 checks FAILED\n"
+    _, rows = _rows(captured.out)
+    failed = [row[1] for row in rows if row[-1] == "0"]
+    assert len(rows) == 30 and len(failed) == 12
+    assert set(failed) == {"mean_nd", "mean_n4", "mean_x"}
+
+
 @pytest.mark.parametrize("shots,count", [("2", 2), ("2.0", 2), ("1e3", 1000)])
 def test_integral_shots_in_any_notation(shots, count, capsys):
     assert main(["qfi", "--set", "port1.alpha.magnitude=1", "--set", f"shots={shots}"]) == 0

@@ -131,6 +131,34 @@ def test_output_stats_match_explicit_operators(convention, rng):
             assert abs(stats[name][0] - value.real) <= 1e-14 * max(abs(value), 1.0), name
 
 
+def test_output_stats_keep_the_top_shell_of_the_truncated_operators(rng):
+    """A batch whose top shell carries real weight, against dense truncated operators.
+
+    Out of the Fock box the truncation term of <X^2> is no longer negligible:
+    the truncated a a^dag is 0, not n_max + 1, on the top shell of axis 0.
+    """
+    n_max, local = 5, 0.8
+    amps = rng.standard_normal((n_max + 1, n_max + 1, 4)) + 1j * rng.standard_normal((n_max + 1, n_max + 1, 4))
+    amps[-1] *= 3.0  # the top shell of axis 0
+    amps /= np.linalg.norm(amps, axis=(0, 1))
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    n = a.T @ a
+    quad = 0.5 * (np.exp(-1j * local) * a + np.exp(1j * local) * a.T)
+    stats = output_stats(amps, local)
+    for k in range(amps.shape[2]):
+        psi = amps[:, :, k]
+        assert np.sum(np.abs(psi[-1]) ** 2) > 0.3
+        n4, n5, x = n @ psi, psi @ n.T, quad @ psi
+        diff = n4 - n5
+        expected = {"n4": np.vdot(psi, n4), "n5": np.vdot(psi, n5), "n_diff": np.vdot(psi, diff),
+                    "n4_sq": np.vdot(n4, n4), "n_diff_sq": np.vdot(diff, diff),
+                    "quad": np.vdot(psi, x), "quad_sq": np.vdot(x, x)}
+        assert set(stats) == set(expected)
+        for name, value in expected.items():
+            assert stats[name].shape == (4,)
+            assert abs(stats[name][k] - value.real) <= 1e-14 * max(abs(value), 1.0), name
+
+
 def test_opposite_squeezers_pass_the_first_bs_unattenuated():
     """zeta = -xi turns into two equal-and-opposite squeezed vacuums inside."""
     r, theta = 0.6, 0.8
@@ -237,7 +265,7 @@ def test_beam_splitter_stacks_fit_a_memory_budget():
     1.4 MB, against 2.4 MB for exact-size complex blocks and 7.2 MB for a
     single complex stack padded to 61 states, which would raise the peak RSS."""
     plan = oracle._sector_plan(60)
-    cached = [plan.gather, plan.inverse, *oracle._balanced_stacks(60)]
+    cached = [plan.gather, plan.inverse, plan.n0, plan.n1, *oracle._balanced_stacks(60)]
     cached += [array for _, off, real in plan.buckets for array in (off, real)]
     assert all(stack.dtype == np.float64 for stack in oracle._balanced_stacks(60))
     assert sum(array.nbytes for array in cached) < 2_000_000
@@ -334,6 +362,17 @@ def test_evolve_many_matches_evolve(convention, rng):
     for k, phi in enumerate(phis):
         single = evolve_many(inside, [phi])
         assert np.abs(batch[:, :, k] - single[:, :, 0]).max() < 1e-14
+
+
+def test_each_phase_of_a_batch_matches_its_own_evolution(rng):
+    """Every column of the slot buffer sees the same stacked products, whatever the batch size."""
+    port1 = GaussianPort.from_params(1.2, 0.7, 0.6, 2.9)
+    port0 = GaussianPort.from_params(1.0, 4.4, 0.5, 1.3)
+    inside = apply_first_bs(prepare(MziScenario(port1, port0), 60))
+    phis = rng.uniform(0, 2 * math.pi, 7)
+    batch = evolve_many(inside, phis)
+    for k, phi in enumerate(phis):
+        assert np.abs(batch[:, :, k] - evolve_many(inside, [phi])[:, :, 0]).max() < 1e-15
 
 
 @pytest.mark.parametrize("convention", list(BsConvention))
