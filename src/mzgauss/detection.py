@@ -243,7 +243,9 @@ def _root_phases(coeffs):
     low-order coefficient adds a root at 0, i.e. phase 0.  Rows are grouped by
     their span of non-zero coefficients, and each group's companion matrices
     go to one stacked ``numpy.linalg.eigvals``.  Rows with no root get the
-    sample phases.  Shorter rows are padded with NaN, which never wins.
+    sample phases.  A row with fewer phases than the widest is padded with
+    copies of its own first phase: judged by the strict tie margin of
+    :func:`_working_points`, a copy of an earlier candidate never wins.
     """
     nonzero = coeffs != 0.0
     width = coeffs.shape[1]
@@ -251,12 +253,12 @@ def _root_phases(coeffs):
     high = np.where(nonzero.any(axis=1), width - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
     spans = set(zip(low.tolist(), high.tolist()))
     columns = max(hi if hi else _SAMPLES for _, hi in spans)  # hi - lo roots and lo zeros
-    out = np.full((coeffs.shape[0], columns), np.nan)
+    out = np.empty((coeffs.shape[0], columns))
     for lo, hi in spans:
         rows = np.flatnonzero((low == lo) & (high == hi))
         degree = hi - lo
         if degree + lo == 0:
-            out[rows, :_SAMPLES] = _PHASES
+            out[rows] = _PHASES  # any such row makes the output _SAMPLES wide
             continue
         roots = np.zeros((rows.size, degree + lo), dtype=complex)
         if degree:
@@ -265,7 +267,9 @@ def _root_phases(coeffs):
             companion[:, 1:, :-1] = np.eye(degree - 1)
             companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
             roots[:, :degree] = np.linalg.eigvals(companion)
-        out[rows, :degree + lo] = np.sort(np.angle(roots) % TWO_PI, axis=1)
+        phases = np.sort(np.angle(roots) % TWO_PI, axis=1)
+        out[rows, :degree + lo] = phases
+        out[rows, degree + lo:] = phases[:, :1]
     return out
 
 
@@ -284,31 +288,54 @@ def _dark_fringe(terms, phi):
     return np.abs(cos_half * mean1 - sin_half * mean0) < _FRINGE * size
 
 
-def _working_points(scheme: DetectionScheme, terms, excess):
-    """(phase, Delta phi, flat) of stacked scenarios; ``terms`` and ``excess`` are (rows, 1).
+def _working_points(schemes, scenarios):
+    """(phase, Delta phi, flat) of every scheme on every scenario, as flat arrays.
 
-    Rows whose mean carries no phase dependence are marked flat, with +inf.
+    The results have one block of ``len(scenarios)`` rows per scheme.  Only
+    the kernel passes go scheme by scheme, each on :func:`_stacked` constants;
+    every other stage runs once over all rows.  Rows whose mean carries no
+    phase dependence are marked flat, with +inf.
     """
-    _, var, slope = _kernel(scheme, terms, _PHASES, excess)
+    rows = len(scenarios)
+    blocks = [_stacked(scheme, scenarios) for scheme in schemes]
+    var = np.empty((len(schemes) * rows, _SAMPLES))
+    slope = np.empty_like(var)
+    for k, (scheme, (terms, excess)) in enumerate(zip(schemes, blocks)):
+        block = slice(k * rows, (k + 1) * rows)
+        _, var[block], slope[block] = _kernel(scheme, terms, _PHASES, excess)
     flat = ~slope.any(axis=1)
     phase = np.zeros(flat.shape)
     best = np.full(flat.shape, math.inf)
     live = np.flatnonzero(~flat)
     if not live.size:
         return phase, best, flat
-    terms = [t[live] for t in terms]
-    excess = excess[live]
+    # each scheme's live rows: a slice of ``live``, with its constants and loss excess
+    edges = np.searchsorted(live, np.arange(len(schemes) + 1) * rows).tolist()
+    parts = []
+    for k, (scheme, (terms, excess)) in enumerate(zip(schemes, blocks)):
+        own = live[edges[k]:edges[k + 1]] - k * rows
+        parts.append((scheme, slice(edges[k], edges[k + 1]), [t[own] for t in terms], excess[own]))
+
+    def judge(phi):
+        """Delta phi of every live row at its own phases ``phi``."""
+        var, slope = np.empty(phi.shape), np.empty(phi.shape)
+        for scheme, part, terms, excess in parts:
+            _, var[part], slope[part] = _kernel(scheme, terms, phi[part], excess)
+        return _delta_phi(var, slope)
+
     v = np.fft.fft(var[live])[:, _ORDERS] / _SAMPLES
     q = np.fft.fft(slope[live] ** 2)[:, _ORDERS] / _SAMPLES
     stationary = _stationarity(v, q)
     size = np.abs(stationary)
     stationary[size <= _TRIM * size.max(axis=1, keepdims=True)] = 0.0
     candidates = _root_phases(stationary)
-    if isinstance(scheme, SingleModeIntensity):
+    single = [(part, terms) for scheme, part, terms, _ in parts
+              if isinstance(scheme, SingleModeIntensity)]
+    for part, terms in single:
         # a root on a dark fringe is judged just beside it, where the value keeps its digits
-        candidates = np.where(_dark_fringe(terms, candidates), (candidates + _NUDGE) % TWO_PI,
-                              candidates)
-    values = _delta_phi(*_kernel(scheme, terms, candidates, excess)[1:])
+        roots = candidates[part]
+        candidates[part] = np.where(_dark_fringe(terms, roots), (roots + _NUDGE) % TWO_PI, roots)
+    values = judge(candidates)
 
     # the candidates are sorted, so a later one must be lower by more than the tie margin
     best_phi, best_value = np.zeros(live.size), np.full(live.size, math.inf)
@@ -318,9 +345,9 @@ def _working_points(scheme: DetectionScheme, terms, excess):
         best_value = np.where(wins, value, best_value)
 
     def objective(trial):
-        trial_values = _delta_phi(*_kernel(scheme, terms, trial % TWO_PI, excess)[1:])
-        if isinstance(scheme, SingleModeIntensity):
-            trial_values[_dark_fringe(terms, trial)] = math.inf
+        trial_values = judge(trial % TWO_PI)
+        for part, terms in single:
+            trial_values[part][_dark_fringe(terms, trial[part])] = math.inf
         return trial_values
 
     # lockstep grid refinement around every winner, kept where it is lower
@@ -338,16 +365,20 @@ def _stacked(scheme: DetectionScheme, scenarios):
     return [np.array(column)[:, None] for column in columns], excess
 
 
-def working_points(scheme: DetectionScheme, scenarios) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal phases and Delta phi of many scenarios in one pass.
+def working_points(schemes, scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal phases and Delta phi of every scheme on many scenarios, in one pass.
 
-    A scenario without any phase dependence gets its own phase and +inf, as
+    Both results are ``(len(schemes), len(scenarios))`` arrays; entry
+    ``[k, j]`` is ``optimal_working_point(schemes[k], scenarios[j])``.  A
+    scenario without any phase dependence gets its own phase and +inf, as
     :func:`optimal_working_point` would raise ``FlatObjective`` for it.
     """
-    phase, values, flat = _working_points(scheme, *_stacked(scheme, scenarios))
-    phase[flat] = [scenario.phase for scenario, f in zip(scenarios, flat) if f]
+    phase, values, flat = _working_points(schemes, scenarios)
+    own = np.tile([scenario.phase for scenario in scenarios], len(schemes))
+    phase[flat] = own[flat]
     _check_positive(values)
-    return phase, values
+    shape = (len(schemes), len(scenarios))
+    return phase.reshape(shape), values.reshape(shape)
 
 
 def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
@@ -369,7 +400,7 @@ def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> Sen
     How the single-mode optimum approaches exp(-r)/|alpha| is set out at
     ``SingleModeIntensity`` (8.0 times above at |alpha| = 1e3, r = 2.3, z = 2.2).
     """
-    phase, values, flat = _working_points(scheme, *_stacked(scheme, [scenario]))
+    phase, values, flat = _working_points([scheme], [scenario])
     if flat[0]:
         raise FlatObjective("the mean carries no phase dependence")
     return SensitivityPoint(float(phase[0]), float(values[0]))

@@ -338,6 +338,12 @@ _CONFIG_FILES = {"list.json": "[1, 2]", "unknown.json": '{"bogus": 1}'}
      "--fractions expects f_alpha,f_beta,f_r,f_z"),
     (["sweep", "--axis", "eta", "--start", "0", "--stop", "1", "--steps", "3"],
      "efficiency must be in (0, 1], got 0.0"),
+    (["qfi", "--set", "port1.alpha.magnitude=abc"],
+     "field port1.alpha.magnitude: expected a number, got 'abc'"),
+    (["heisenberg", "--pmc", "pmc2", "--fractions", "1/4,x,1/4,1/4"],
+     "field fractions: cannot parse fraction 'x'"),
+    (["heisenberg", "--pmc", "pmc2", "--fractions", "0.5,0.5,0.5,0.5"],
+     "--fractions: fractions must sum to 1, got 2.0"),
 ])
 def test_config_errors_name_their_cause(argv, message, tmp_path, capsys):
     for name, text in _CONFIG_FILES.items():
@@ -510,6 +516,30 @@ def _argv(axis, start, stop, steps, sets):
 def _bound(scenario):
     value = qfi(scenario)
     return qcrb(value) if value > 0 else math.inf
+
+
+@pytest.mark.parametrize("axis,start,stop,sets", [
+    ("beta", "0.3", "40", ["pmc=pmc1", "port1.alpha.magnitude=2.5", "port0.xi.factor=0.9",
+                           "port1.zeta.factor=0.4", "efficiency=0.75"]),
+    ("alpha", "0.05", "300", ["pmc=pmc3", "port0.beta.magnitude=1.7", "port0.xi.factor=1.1",
+                              "port1.zeta.factor=0.6", "convention=cube"]),
+    ("beta", "0.1", "20", ["pmc=pmc2", "port1.alpha.magnitude=0.8", "port0.xi.factor=2.0",
+                           "port1.zeta.factor=1.5", "convention=cube", "efficiency=0.6"]),
+    ("alpha", "0.5", "50", ["pmc=sqzvac_optimal", "port0.xi.factor=0.7",
+                            "port1.zeta.factor=0.3", "efficiency=0.9"]),
+])
+def test_amplitude_sweep_columns_do_not_couple_schemes(axis, start, stop, sets, capsys):
+    """A three-scheme amplitude sweep prints, column for column, three one-scheme sweeps."""
+    def table(scheme):
+        assert main(_argv(axis, start, stop, 9, [*sets, f"scheme={scheme}"])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line.split(",") for line in lines if not line.startswith("#")]
+
+    together = table("hom,df,sg")
+    for column, scheme in enumerate(("hom", "df", "sg"), start=1):
+        alone = table(scheme)
+        assert [row[column] for row in together] == [row[1] for row in alone]
+        assert [[row[0], row[-1]] for row in together] == [[row[0], row[-1]] for row in alone]
 
 
 @pytest.mark.parametrize("seed", range(10))

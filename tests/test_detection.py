@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzgauss.detection import (DifferenceIntensity, Homodyne,
+from mzgauss.detection import (DifferenceIntensity, Homodyne, SensitivityPoint,
                                SingleModeIntensity, observable_mean,
                                observable_stats, observable_variance,
                                optimal_working_point, sensitivities,
                                sensitivity, working_points)
+from mzgauss.detection import _root_phases
 from mzgauss.errors import FlatObjective
 from mzgauss.fisher import fisher_matrix, qcrb, qfi
 from mzgauss.interferometer import CUBE_PORT0_ROTATION, BsConvention, MziScenario
@@ -339,24 +340,62 @@ def test_kernel_matches_per_phase_reference(rng):
 
 
 def test_batched_working_points_equal_one_row_optima():
-    """Each row of a batch is the one-row optimum; the mirror-image sg tie keeps the lower phase."""
+    """Every (scheme, row) entry of one cross-scheme pass is that one-row optimum, bit for bit.
+
+    The rows hold a lossy general state, the mirror-image sg tie (the lower
+    phase wins), a row flat for every scheme, one flat for homodyne alone
+    (two unequal squeezed vacua) and a wideband squeezed vacuum.  The schemes
+    yield different candidate counts, so the shared root stage pads the batch.
+    """
     mirror = _sqzvac_scenario(1.0, 0.5, 0.4)
     general = MziScenario(*apply_pmc(PmcSet.PMC2, 0.4, 1.3, 0.8, 0.6, 0.35), efficiency=0.7)
     flat = MziScenario(GaussianPort.from_params(0.0, 0.0, 0.5, 0.0),
                        GaussianPort.from_params(0.0, 0.0, 0.5, 0.0), phase=0.3)
-    scenarios = [general, mirror, flat, _sqzvac_scenario(30.0, 1.2, 0.8, wideband=True)]
-    for scheme in ALL_SCHEMES:
-        phases, values = working_points(scheme, scenarios)
-        for k, sc in enumerate(scenarios):
-            if sc is flat:
-                assert (phases[k], values[k]) == (0.3, math.inf)
-                continue
-            point = optimal_working_point(scheme, sc)
-            assert (phases[k], values[k]) == (point.phase, point.delta_phi)
-    phases, values = working_points(SingleModeIntensity(), scenarios)
-    assert abs(phases[1] - 1.8981404501349168) < 1e-9
-    twin = sensitivity(SingleModeIntensity(), mirror.with_phase(2 * math.pi - phases[1]))
-    assert twin.delta_phi == pytest.approx(values[1], rel=1e-12)
+    dark = MziScenario(GaussianPort.from_params(0.0, 0.0, 0.9, 0.0),
+                       GaussianPort.from_params(0.0, 0.0, 0.4, 1.0), phase=1.1)
+    scenarios = [general, mirror, flat, dark, _sqzvac_scenario(30.0, 1.2, 0.8, wideband=True)]
+    schemes = ALL_SCHEMES + (Homodyne(local_phase=0.9),)
+    phases, values = working_points(schemes, scenarios)
+    assert phases.shape == values.shape == (len(schemes), len(scenarios))
+    flats = 0
+    for k, scheme in enumerate(schemes):
+        for j, sc in enumerate(scenarios):
+            try:
+                point = optimal_working_point(scheme, sc)
+            except FlatObjective:
+                flats += 1
+                point = SensitivityPoint(sc.phase, math.inf)
+            assert (phases[k, j], values[k, j]) == (point.phase, point.delta_phi)
+    assert flats == len(schemes) + 2  # the flat row, and the homodyne entries of ``dark``
+    reverse = working_points(schemes[::-1], scenarios)
+    assert np.array_equal(reverse[0], phases[::-1]) and np.array_equal(reverse[1], values[::-1])
+    assert abs(phases[1, 1] - 1.8981404501349168) < 1e-9
+    twin = sensitivity(SingleModeIntensity(), mirror.with_phase(2 * math.pi - phases[1, 1]))
+    assert twin.delta_phi == pytest.approx(values[1, 1], rel=1e-12)
+
+
+def test_root_phases_pad_short_rows_with_their_first_phase():
+    """Rows of spans (1, 7), (3, 5) and (0, 6) and an all-zero row: all finite, copies pad.
+
+    A row of span (lo, hi) has hi - lo roots of its polynomial and lo at
+    z = 0, of phase 0; they fill its first hi columns in sorted order.  The
+    (0, 6) row has no root at 0, so its padding is not a run of zeros.
+    """
+    rng = np.random.default_rng(5)
+    spans = [(1, 7), (3, 5), (0, 6)]
+    coeffs = np.zeros((4, 9), dtype=complex)
+    for row, (lo, hi) in zip(coeffs, spans):
+        row[lo:hi + 1] = rng.normal(size=hi - lo + 1) + 1j * rng.normal(size=hi - lo + 1)
+    out = _root_phases(coeffs)
+    assert out.shape == (4, 16) and np.isfinite(out).all()
+    for row, phases, (lo, hi) in zip(coeffs, out, spans):
+        roots = np.angle(np.roots(row[hi:lo - 1 if lo else None:-1])) % (2 * math.pi)
+        expected = np.sort(np.concatenate([roots, np.zeros(lo)]))
+        assert np.allclose(phases[:hi], expected, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(phases[:hi]) >= 0.0)
+        assert np.all(phases[hi:] == phases[0])
+    assert out[2, 0] > 0.0
+    assert np.array_equal(out[3], np.arange(16) * (2 * math.pi / 16))
 
 
 def test_cancelled_variance_never_wins_a_working_point():
