@@ -306,7 +306,7 @@ def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: 
     return 0
 
 
-_ATLAS_LINE = "%.12g,%.12g,%s,%.12g,%.12g,%.12g\n"  # fmt() of each cell, inf and nan included
+_ATLAS_CELLS = 4096  # cells per regime_qfis call: memory stays flat in --points
 
 
 def _boundary_at(curve, alpha: float):
@@ -332,7 +332,7 @@ def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
             return np.geomspace(lo, hi, points)
         return np.linspace(lo, hi, points)
 
-    alphas = axis(alpha_min, alpha_max).tolist()
+    alphas = axis(alpha_min, alpha_max)
     betas = axis(beta_min, beta_max)
     comments = [
         f"# config: {json.dumps({'r': r, 'z': z, 'alpha_min': alpha_min, 'alpha_max': alpha_max, 'beta_min': beta_min, 'beta_max': beta_max, 'points': points, 'spacing': spacing}, sort_keys=True)}",
@@ -340,20 +340,31 @@ def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
         f"# beta_lim_23(alpha_circ) = {fmt(_boundary_at(limits.beta_23, limits.alpha_circ))}",
         f"# beta_lim_13(alpha_circ) = {fmt(_boundary_at(limits.beta_13, limits.alpha_circ))}",
     ]
+    rows = max(1, _ATLAS_CELLS // points)
+
+    def block(start):
+        return regime_qfis(alphas[start:start + rows, None], betas, r, z)
+
     # Every term of the closed forms is monotone or convex in alpha^2, so an
     # overflow anywhere in the grid leaves an inf or a nan in the first or the
     # last row: both are checked before anything is written.
-    edges = {i: regime_qfis(alphas[i], betas, r, z) for i in (0, len(alphas) - 1)}
-    if not all(np.isfinite(values).all() for _, values in edges.values()):
+    first = block(0)
+    last = first if points <= rows else block(points - 1)
+    if not (np.isfinite(first[1][:, 0]).all() and np.isfinite(last[1][:, -1]).all()):
         raise NumericalOverflow(f"the PMC QFIs overflow at r = {fmt(r)}, z = {fmt(z)} on the "
-                                f"grid up to |alpha| = {fmt(max(alphas))}, |beta| = {fmt(betas.max())}")
+                                f"grid up to |alpha| = {fmt(alphas.max())}, |beta| = {fmt(betas.max())}")
     _write_csv(out, comments, ["alpha", "beta", "pmc", "qfi_pmc1", "qfi_pmc2", "qfi_pmc3"], [])
-    names = [family.value for family in REGIME_FAMILIES]
-    beta_cells = betas.tolist()
-    for i, a in enumerate(alphas):  # one row of the atlas per evaluation; memory stays flat in points
-        best, values = edges[i] if i in edges else regime_qfis(a, betas, r, z)
-        out.writelines(_ATLAS_LINE % (a, b, names[k], f1, f2, f3)
-                       for b, k, f1, f2, f3 in zip(beta_cells, best.tolist(), *values.tolist()))
+    # the tail of each (beta, family) cell; its three QFIs are filled in by one % per
+    # row, and %.12g is fmt() of a float
+    tails = np.array([[f",{fmt(b)},{family.value},%.12g,%.12g,%.12g\n" for family in REGIME_FAMILIES]
+                      for b in betas], dtype=object)
+    cells = np.arange(points)
+    for start in range(0, points, rows):
+        best, values = first if start == 0 else block(start)
+        values = values.transpose(1, 2, 0).reshape(len(best), -1)
+        for a, picked, row in zip(alphas[start:start + rows].tolist(), tails[cells, best].tolist(), values):
+            head = fmt(a)
+            out.write((head + head.join(picked)) % tuple(row.tolist()))
     err.write(f"regimes: {points * points} grid points at r={fmt(r)}, z={fmt(z)}\n")
     return 0
 

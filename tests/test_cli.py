@@ -164,6 +164,8 @@ def _atlas_bounds(rng, spacing):
 @pytest.mark.parametrize("seed,points,spacing", [
     (1, 13, "log"), (2, 13, "log"), (3, 40, "log"),
     (4, 1, "linear"), (5, 2, "linear"), (6, 13, "linear"),
+    # several blocks of |alpha| rows, the last one partial
+    (7, 70, "log"), (8, 100, "linear"),
 ])
 def test_regimes_rows_equal_scalar_closed_forms(seed, points, spacing, capsys):
     """The row-vectorized atlas prints fmt() of the scalar classify and closed forms."""
@@ -344,6 +346,9 @@ _CONFIG_FILES = {"list.json": "[1, 2]", "unknown.json": '{"bogus": 1}'}
      "field fractions: cannot parse fraction 'x'"),
     (["heisenberg", "--pmc", "pmc2", "--fractions", "0.5,0.5,0.5,0.5"],
      "--fractions: fractions must sum to 1, got 2.0"),
+    # the first efficiency is valid, a later one is not
+    (["sweep", "--axis", "eta", "--start", "1", "--stop", "0", "--steps", "3"],
+     "efficiency must be in (0, 1], got 0.0"),
 ])
 def test_config_errors_name_their_cause(argv, message, tmp_path, capsys):
     for name, text in _CONFIG_FILES.items():
@@ -394,6 +399,21 @@ _RANGE_ERRORS = [
     # the exact QFI, about 1e-330, underflows, though its ratio, about 1e-270, would not
     (["heisenberg", "--pmc", "pmc2", "--fractions", "1e-300,0,1/2,1/2", "--n-tot", "1e-30"],
      "the exact QFI underflows to 0"),
+    # the last |alpha| row lies in a later block than the first: still checked before any row
+    (["regimes", "--r", "2.3", "--z", "2.2", "--alpha-max", "1e200", "--points", "100"], "overflow"),
+    # the sinh^2 2r term of pmc_qfis overflows, though <N_tot>^2 does not and the
+    # PMC1 value, sinh^2 r = 1e154, would fit
+    (["heisenberg", "--pmc", "pmc1", "--fractions", "0,0,1,0", "--n-tot", "1e154"],
+     "the PMC QFIs overflow at r = 177.992, z = 0"),
+    # e^{4r} of the boundaries overflows to inf, with no OverflowError on the way
+    (["regimes", "--r", "177.6", "--z", "0"], "the regime boundaries overflow at r = 177.6, z = 0"),
+    # a sweep's QCRB column: the QFI is the first quantity that overflows
+    (["sweep", "--axis", "phi", "--start", "0", "--stop", "1", "--steps", "2",
+      "--set", "port1.alpha.magnitude=1e153", "--set", "port0.beta.magnitude=1e153",
+      "--set", "port0.xi.factor=3"], "the QFI overflows at F_ss = 1.00124e+153^2"),
+    # each of Var n's two terms fits, their sum does not
+    (["qfi", "--set", "port1.zeta.factor=177.97"],
+     "the photon-number variance of a port overflows"),
 ]
 
 
@@ -778,7 +798,7 @@ _REGIMES_FLAGS = ("--r", "--z", "--alpha-min", "--alpha-max", "--beta-min", "--b
 # a subnormal z: once a nan in the beta_lim_13(alpha_circ) comment, from 0 * inf at alpha = 0
 @example(values={"--r": "0", "--z": "1e-310"}, points=1, spacing="log")
 @given(values=st.dictionaries(st.sampled_from(_REGIMES_FLAGS), st.sampled_from(_FUZZ_VALUES)),
-       points=st.integers(1, 4), spacing=st.sampled_from(("log", "linear")))
+       points=st.sampled_from((1, 2, 3, 4, 70)), spacing=st.sampled_from(("log", "linear")))
 def test_regimes_contract_holds_for_every_number(values, points, spacing):
     """``regimes`` exits 0, 2 or 3 without a traceback or a nan, whatever its float flags get."""
     values = {"--r": "1", "--z": "1", **values}  # both are required

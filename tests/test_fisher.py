@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzgauss.errors import NonPositiveInformation
+from mzgauss.errors import NonPositiveInformation, NumericalOverflow
 from mzgauss.fisher import fisher_matrix, qcrb, qfi, qfi_closed_form
 from mzgauss.interferometer import BsConvention, MziScenario
 from mzgauss.pmc import PmcSet, apply_pmc
@@ -129,6 +129,13 @@ def test_general_phase_closed_form_matches_generic(rng):
 def test_explicit_phases_required_without_family():
     with pytest.raises(ValueError):
         qfi_closed_form(1.0, 0.5, 0.5, 0.4)
+
+
+def test_closed_form_overflow_names_its_family():
+    """No CLI input reaches this raise: heisenberg checks that <N_tot>^2 fits first,
+    and no family's QFI exceeds it by more than O(N_tot)."""
+    with pytest.raises(NumericalOverflow, match=r"the pmc1 QFI overflows at \|alpha\| = 1e\+200, "):
+        qfi_closed_form(1e200, 0.0, 0.5, 0.5, pmc=PmcSet.PMC1)
 
 
 def test_pmc3_qfi_survives_large_amplitudes():

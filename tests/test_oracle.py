@@ -63,6 +63,9 @@ def test_truncation_error_raised_outside_remit():
     with pytest.raises(TruncationError) as info:
         prepare(MziScenario(GaussianPort.from_params(5.0), _vac()), 60)
     assert info.value.tail >= 1e-10
+    with pytest.raises(TruncationError, match="exceeds the tolerance at n_max=60") as info:
+        single_mode_moments(GaussianPort.from_params(5.0), 60)
+    assert info.value.tail >= 1e-10
 
 
 def test_evolve_preserves_norm_and_energy(rng):
