@@ -105,6 +105,12 @@ def _parse_number(value, key: str) -> float:
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
+    """The parsed view of the defaults, the config file at ``path`` and the ``--set`` overrides.
+
+    Numbers are floats, angles radians and ``shots`` an int; the names are in
+    lower case, the convention and the family checked.  :func:`build_scenario`
+    reads this view and the ``# config:`` line prints it.
+    """
     cfg = dict(_CONFIG_KEYS)
     if path is not None:
         try:
@@ -128,7 +134,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if key not in cfg:
             raise ConfigError(f"--set: unknown config key {key!r}")
         cfg[key] = value.strip()
-    return cfg
+    return {key: _parse_field(key, value) for key, value in cfg.items()}
 
 
 def _schemes_from_config(cfg: dict) -> list[str]:
@@ -155,23 +161,26 @@ def _scheme_object(tag: str, local_phase: float | None) -> detection.DetectionSc
     return detection.Homodyne(local_phase)
 
 
-def _normalized(cfg: dict) -> dict:
-    """Numeric view of the config used for scenario building and CSV comments."""
-    out = {}
-    for key, value in cfg.items():
-        if key in ("convention", "scheme", "pmc"):
-            out[key] = value if value is None else str(value).lower()
-        elif key == "shots":
-            out[key] = int(_parse_number(value, key))
-            if out[key] < 1 or out[key] != float(value):  # never floor a fraction away
-                raise ConfigError(f"field shots: expected an integer >= 1, got {value!r}")
-        elif key == "homodyne.local_phase":
-            out[key] = None if value is None else parse_angle(value, key)
-        elif key in _ANGLE_KEYS:
-            out[key] = parse_angle(value, key)
-        else:
-            out[key] = _parse_number(value, key)
-    return out
+def _parse_field(key: str, value):
+    if key == "convention":
+        try:
+            return BsConvention(str(value).lower()).value
+        except ValueError:
+            raise ConfigError(f"field convention: expected symmetric|cube, got {value!r}") from None
+    if key == "pmc":
+        return None if value is None else _pmc_family(value, "field pmc").value
+    if key == "scheme":
+        return value if value is None else str(value).lower()
+    if key == "shots":
+        shots = int(_parse_number(value, key))
+        if shots < 1 or shots != float(value):  # never floor a fraction away
+            raise ConfigError(f"field shots: expected an integer >= 1, got {value!r}")
+        return shots
+    if key == "homodyne.local_phase" and value is None:
+        return None
+    if key in _ANGLE_KEYS:
+        return parse_angle(value, key)
+    return _parse_number(value, key)
 
 
 def _pmc_family(value, key: str) -> PmcSet:
@@ -183,16 +192,12 @@ def _pmc_family(value, key: str) -> PmcSet:
         raise ConfigError(f"{key}: expected one of {names}, got {value!r}") from None
 
 
-def build_scenario(cfg: dict, n: dict) -> MziScenario:
-    """The scenario of a config, read from ``n``, its :func:`_normalized` view."""
-    try:
-        convention = BsConvention(n["convention"])
-    except ValueError:
-        raise ConfigError(f"field convention: expected symmetric|cube, got {cfg['convention']!r}") from None
-
+def build_scenario(n: dict) -> MziScenario:
+    """The scenario of ``n``, a view of :func:`load_config`."""
+    convention = BsConvention(n["convention"])
     if n["pmc"] is not None:
         port1, port0 = apply_pmc(
-            _pmc_family(cfg["pmc"], "field pmc"), n["port1.alpha.phase"],
+            PmcSet(n["pmc"]), n["port1.alpha.phase"],
             n["port1.alpha.magnitude"], n["port0.beta.magnitude"],
             n["port0.xi.factor"], n["port1.zeta.factor"], convention,
         )
@@ -221,6 +226,12 @@ def _config_comment(normalized: dict) -> str:
     return "# config: " + json.dumps(normalized, sort_keys=True)
 
 
+def _flags_comment(args: argparse.Namespace) -> str:
+    """The ``# config:`` line of a command that its flags alone configure."""
+    return _config_comment({key: value for key, value in vars(args).items()
+                            if key not in ("command", "output")})
+
+
 def _limit_comments(limits) -> list[str]:
     return [f"# alpha_lim_13 = {fmt(limits.alpha_13)}",
             f"# alpha_lim_23 = {fmt(limits.alpha_23)}",
@@ -243,9 +254,9 @@ def _bound(fisher_value: float, shots: int) -> float:
     return qcrb(fisher_value, shots) if fisher_value > 0 else math.inf
 
 
-def cmd_qfi(cfg: dict, out: IO[str], err: IO[str]) -> int:
-    n = _normalized(cfg)
-    scenario = build_scenario(cfg, n)
+def cmd_qfi(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
+    n = load_config(args.config, args.set)
+    scenario = build_scenario(n)
     fm = fisher_matrix(scenario)
     value = qfi(scenario)
     bound = _bound(value, n["shots"])
@@ -261,18 +272,19 @@ _SWEEP_KEYS = {"phi": "phase", "alpha": "port1.alpha.magnitude",
                "beta": "port0.beta.magnitude", "eta": "efficiency"}
 
 
-def cmd_sweep(cfg: dict, axis: str, start, stop, steps: int, out: IO[str], err: IO[str]) -> int:
+def cmd_sweep(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
+    axis, steps = args.axis, args.steps
     if steps < 2:
         raise ConfigError("sweep requires steps >= 2")
-    tags = _schemes_from_config(cfg)
-    n = _normalized(cfg)
+    n = load_config(args.config, args.set)
+    tags = _schemes_from_config(n)
     schemes = [_scheme_object(tag, n["homodyne.local_phase"]) for tag in tags]
-    lo = parse_angle(start, "start") if axis == "phi" else _parse_number(start, "start")
-    hi = parse_angle(stop, "stop") if axis == "phi" else _parse_number(stop, "stop")
+    parse = parse_angle if axis == "phi" else _parse_number
+    lo, hi = parse(args.start, "start"), parse(args.stop, "stop")
     grid = np.linspace(lo, hi, steps)
 
     def scenario_at(value):
-        return build_scenario(cfg, dict(n, **{_SWEEP_KEYS[axis]: float(value)}))
+        return build_scenario(dict(n, **{_SWEEP_KEYS[axis]: float(value)}))
 
     # every column is one array over the grid: one working-point pass for all schemes,
     # one kernel pass per scheme otherwise
@@ -316,9 +328,8 @@ def _boundary_at(curve, alpha: float):
         return None
 
 
-def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
-                beta_min: float, beta_max: float, points: int, spacing: str,
-                out: IO[str], err: IO[str]) -> int:
+def cmd_regimes(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
+    r, z, points = args.r, args.z, args.points
     if points < 1:
         raise ConfigError("regimes requires points >= 1")
     limits = boundaries(r, z)
@@ -326,16 +337,16 @@ def cmd_regimes(r: float, z: float, alpha_min: float, alpha_max: float,
     def axis(lo, hi):
         if points == 1:
             return np.array([lo])
-        if spacing == "log":
+        if args.spacing == "log":
             if min(lo, hi) <= 0:
                 raise ConfigError("log spacing requires positive axis bounds")
             return np.geomspace(lo, hi, points)
         return np.linspace(lo, hi, points)
 
-    alphas = axis(alpha_min, alpha_max)
-    betas = axis(beta_min, beta_max)
+    alphas = axis(args.alpha_min, args.alpha_max)
+    betas = axis(args.beta_min, args.beta_max)
     comments = [
-        f"# config: {json.dumps({'r': r, 'z': z, 'alpha_min': alpha_min, 'alpha_max': alpha_max, 'beta_min': beta_min, 'beta_max': beta_max, 'points': points, 'spacing': spacing}, sort_keys=True)}",
+        _flags_comment(args),
         *_limit_comments(limits),
         f"# beta_lim_23(alpha_circ) = {fmt(_boundary_at(limits.beta_23, limits.alpha_circ))}",
         f"# beta_lim_13(alpha_circ) = {fmt(_boundary_at(limits.beta_13, limits.alpha_circ))}",
@@ -380,10 +391,9 @@ def _parse_fraction(text: str, key: str) -> float:
         raise ConfigError(f"field {key}: cannot parse fraction {text!r}") from None
 
 
-def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
-                   out: IO[str], err: IO[str]) -> int:
-    family = _pmc_family(pmc_name, "--pmc")
-    parts = [p for p in fractions_text.split(",") if p.strip()]
+def cmd_heisenberg(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
+    family, n_tot = _pmc_family(args.pmc, "--pmc"), args.n_tot
+    parts = [p for p in args.fractions.split(",") if p.strip()]
     if len(parts) != 4:
         raise ConfigError("--fractions expects f_alpha,f_beta,f_r,f_z")
     vals = [_parse_fraction(p, "fractions") for p in parts]
@@ -419,6 +429,7 @@ def cmd_heisenberg(pmc_name: str, fractions_text: str, n_tot: float,
     return 0
 
 
+_VERIFY_HEADER = ["case", "quantity", "phi", "closed", "oracle", "relerr", "pass"]
 _VERIFY_LINE = "%d,%s,%.12g,%.12g,%.12g,%.12g,%d\n"  # fmt() of each cell; pass is 0 or 1
 _FISHER_LINE = "%d,%s,,%.12g,%.12g,%.12g,%d\n"  # the same, with no phase
 
@@ -427,20 +438,18 @@ def _relerr(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
-               alpha_max: float, beta_max: float, squeeze_max: float,
-               out: IO[str], err: IO[str]) -> int:
+def cmd_verify(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     from . import oracle  # only this command needs the Fock oracle; the others never load it
 
+    samples, phases, n_max = args.samples, args.phases, args.n_max
     if n_max < 2:  # the truncation check measures the top two shells: no shell would be left
         raise ConfigError(f"verify requires --n-max >= 2, got {n_max}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     failures = 0
     if samples <= 0:
         err.write("verify: empty box, vacuous pass\n")
-        _write_csv(out, ["# verify: empty box"],
-                   ["case", "quantity", "phi", "closed", "oracle", "relerr", "pass"], [])
+        _write_csv(out, ["# verify: empty box"], _VERIFY_HEADER, [])
         return 0
 
     schemes = [("mean_nd", detection.DifferenceIntensity(), "n_diff", 1e-8),
@@ -449,11 +458,11 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
 
     for case in range(samples):
         port1 = GaussianPort.from_params(
-            rng.uniform(0.0, alpha_max), rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, squeeze_max), rng.uniform(0.0, 2.0 * math.pi))
+            rng.uniform(0.0, args.alpha_max), rng.uniform(0.0, 2.0 * math.pi),
+            rng.uniform(0.0, args.squeeze_max), rng.uniform(0.0, 2.0 * math.pi))
         port0 = GaussianPort.from_params(
-            rng.uniform(0.0, beta_max), rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, squeeze_max), rng.uniform(0.0, 2.0 * math.pi))
+            rng.uniform(0.0, args.beta_max), rng.uniform(0.0, 2.0 * math.pi),
+            rng.uniform(0.0, args.squeeze_max), rng.uniform(0.0, 2.0 * math.pi))
         convention = BsConvention.SYMMETRIC if case % 2 == 0 else BsConvention.CUBE
         base = MziScenario(port1, port0, convention)
         inside = oracle.apply_first_bs(oracle.prepare(base, n_max), convention)
@@ -483,10 +492,7 @@ def cmd_verify(samples: int, phases: int, seed: int, n_max: int,
             failures += not ok
             rows.append(_FISHER_LINE % (case, qty, a, b, rel, ok))
 
-    comments = [
-        f"# config: {json.dumps({'samples': samples, 'phases': phases, 'seed': seed, 'n_max': n_max, 'alpha_max': alpha_max, 'beta_max': beta_max, 'squeeze_max': squeeze_max}, sort_keys=True)}",
-    ]
-    _write_csv(out, comments, ["case", "quantity", "phi", "closed", "oracle", "relerr", "pass"], [])
+    _write_csv(out, [_flags_comment(args)], _VERIFY_HEADER, [])
     out.writelines(rows)
     if failures:
         err.write(f"verify: {failures} of {len(rows)} checks FAILED\n")
@@ -512,22 +518,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "plain text only, NO_COLOR is always honored).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, command):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-o", "--output", metavar="FILE", help="write CSV here instead of stdout")
+        p.set_defaults(command=command)  # replaces the subcommand's name once it is parsed
         return p
 
-    p = add("qfi", "Fisher matrix, QFI and Cramer-Rao bound")
+    p = add("qfi", "Fisher matrix, QFI and Cramer-Rao bound", cmd_qfi)
     _add_config_arguments(p)
 
-    p = add("sweep", "sensitivity curves over one axis")
+    p = add("sweep", "sensitivity curves over one axis", cmd_sweep)
     _add_config_arguments(p)
     p.add_argument("--axis", required=True, choices=("phi", "alpha", "beta", "eta"))
     p.add_argument("--start", required=True)
     p.add_argument("--stop", required=True)
     p.add_argument("--steps", required=True, type=int)
 
-    p = add("regimes", "optimal-PMC atlas over (|alpha|, |beta|)")
+    p = add("regimes", "optimal-PMC atlas over (|alpha|, |beta|)", cmd_regimes)
     p.add_argument("--r", required=True, type=float)
     p.add_argument("--z", required=True, type=float)
     p.add_argument("--alpha-min", type=float, default=0.05)
@@ -537,12 +544,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=10)
     p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
-    p = add("heisenberg", "power-fraction scaling evaluation")
+    p = add("heisenberg", "power-fraction scaling evaluation", cmd_heisenberg)
     p.add_argument("--pmc", required=True)
     p.add_argument("--fractions", required=True, metavar="FA,FB,FR,FZ")
     p.add_argument("--n-tot", type=float, default=1e4)
 
-    p = add("verify", "closed forms vs truncated Fock oracle")
+    p = add("verify", "closed forms vs truncated Fock oracle", cmd_verify)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--phases", type=int, default=5)
     p.add_argument("--seed", type=int, default=42)
@@ -593,22 +600,6 @@ def _close_output(stream: IO[str], staging: str | None, path: str, success: bool
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
 
 
-def _run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    if args.command == "qfi":
-        return cmd_qfi(load_config(args.config, args.set), out, err)
-    if args.command == "sweep":
-        cfg = load_config(args.config, args.set)
-        return cmd_sweep(cfg, args.axis, args.start, args.stop, args.steps, out, err)
-    if args.command == "regimes":
-        return cmd_regimes(args.r, args.z, args.alpha_min, args.alpha_max,
-                           args.beta_min, args.beta_max, args.points,
-                           args.spacing, out, err)
-    if args.command == "heisenberg":
-        return cmd_heisenberg(args.pmc, args.fractions, args.n_tot, out, err)
-    return cmd_verify(args.samples, args.phases, args.seed, args.n_max,
-                      args.alpha_max, args.beta_max, args.squeeze_max, out, err)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -619,11 +610,11 @@ def main(argv=None) -> int:
             if isinstance(value, (int, float)):
                 _non_negative(value, "--" + name.replace("_", "-"))
         if not args.output:
-            return _run(args, sys.stdout, err)
+            return args.command(args, sys.stdout, err)
         out, staging = _open_output(args.output)
         code = None
         try:
-            code = _run(args, out, err)
+            code = args.command(args, out, err)
         finally:
             _close_output(out, staging, args.output, code == 0)
         return code

@@ -102,7 +102,8 @@ def _terms(scheme: DetectionScheme, scenario: MziScenario) -> tuple:
 
 def _excess(efficiency):
     """Loss excess (1 - eta)/eta: the detector noise added to the ideal observable."""
-    return (1.0 - efficiency) / efficiency
+    with np.errstate(over="ignore"):  # an infinite excess makes the variance raise in _kernel
+        return (1.0 - efficiency) / efficiency
 
 
 def _kernel(scheme: DetectionScheme, terms, phi, excess):
@@ -242,9 +243,9 @@ def _root_phases(coeffs):
     Per row this is ``numpy.roots`` on the coefficients of z^8 ... z^0: a zero
     low-order coefficient adds a root at 0, i.e. phase 0.  Rows are grouped by
     their span of non-zero coefficients, and each group's companion matrices
-    go to one stacked ``numpy.linalg.eigvals``.  Rows with no root get the
-    sample phases.  A row with fewer phases than the widest is padded with
-    copies of its own first phase: judged by the strict tie margin of
+    go to one stacked ``numpy.linalg.eigvals``.  A row with no root gets the
+    one candidate phase 0.  A row with fewer phases than the widest is padded
+    with copies of its own first phase: judged by the strict tie margin of
     :func:`_working_points`, a copy of an earlier candidate never wins.
     """
     nonzero = coeffs != 0.0
@@ -252,15 +253,13 @@ def _root_phases(coeffs):
     low = nonzero.argmax(axis=1)
     high = np.where(nonzero.any(axis=1), width - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
     spans = set(zip(low.tolist(), high.tolist()))
-    columns = max(hi if hi else _SAMPLES for _, hi in spans)  # hi - lo roots and lo zeros
-    out = np.empty((coeffs.shape[0], columns))
+    out = np.zeros((coeffs.shape[0], high.max(initial=1)))  # hi - lo roots and lo zeros a row
     for lo, hi in spans:
         rows = np.flatnonzero((low == lo) & (high == hi))
         degree = hi - lo
-        if degree + lo == 0:
-            out[rows] = _PHASES  # any such row makes the output _SAMPLES wide
+        if not hi:  # no root: the one candidate, phase 0, and its padding are zeros
             continue
-        roots = np.zeros((rows.size, degree + lo), dtype=complex)
+        roots = np.zeros((rows.size, hi), dtype=complex)
         if degree:
             poly = coeffs[rows, hi::-1][:, :degree + 1]   # highest order first
             companion = np.zeros((rows.size, degree, degree), dtype=complex)
@@ -268,8 +267,8 @@ def _root_phases(coeffs):
             companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
             roots[:, :degree] = np.linalg.eigvals(companion)
         phases = np.sort(np.angle(roots) % TWO_PI, axis=1)
-        out[rows, :degree + lo] = phases
-        out[rows, degree + lo:] = phases[:, :1]
+        out[rows, :hi] = phases
+        out[rows, hi:] = phases[:, :1]
     return out
 
 
@@ -294,68 +293,56 @@ def _working_points(schemes, scenarios):
     The results have one block of ``len(scenarios)`` rows per scheme.  Only
     the kernel passes go scheme by scheme, each on :func:`_stacked` constants;
     every other stage runs once over all rows.  Rows whose mean carries no
-    phase dependence are marked flat, with +inf.
+    phase dependence are marked flat: their one candidate, phase 0, is +inf.
     """
     rows = len(scenarios)
-    blocks = [_stacked(scheme, scenarios) for scheme in schemes]
-    var = np.empty((len(schemes) * rows, _SAMPLES))
-    slope = np.empty_like(var)
-    for k, (scheme, (terms, excess)) in enumerate(zip(schemes, blocks)):
-        block = slice(k * rows, (k + 1) * rows)
-        _, var[block], slope[block] = _kernel(scheme, terms, _PHASES, excess)
-    flat = ~slope.any(axis=1)
-    phase = np.zeros(flat.shape)
-    best = np.full(flat.shape, math.inf)
-    live = np.flatnonzero(~flat)
-    if not live.size:
-        return phase, best, flat
-    # each scheme's live rows: a slice of ``live``, with its constants and loss excess
-    edges = np.searchsorted(live, np.arange(len(schemes) + 1) * rows).tolist()
-    parts = []
-    for k, (scheme, (terms, excess)) in enumerate(zip(schemes, blocks)):
-        own = live[edges[k]:edges[k + 1]] - k * rows
-        parts.append((scheme, slice(edges[k], edges[k + 1]), [t[own] for t in terms], excess[own]))
+    blocks = [(scheme, slice(k * rows, (k + 1) * rows), *_stacked(scheme, scenarios))
+              for k, scheme in enumerate(schemes)]
 
-    def judge(phi):
-        """Delta phi of every live row at its own phases ``phi``."""
+    def sample(phi):
+        """Variance and slope of every row at its own phases ``phi``."""
         var, slope = np.empty(phi.shape), np.empty(phi.shape)
-        for scheme, part, terms, excess in parts:
-            _, var[part], slope[part] = _kernel(scheme, terms, phi[part], excess)
-        return _delta_phi(var, slope)
+        for scheme, block, terms, excess in blocks:
+            _, var[block], slope[block] = _kernel(scheme, terms, phi[block], excess)
+        return var, slope
 
-    v = np.fft.fft(var[live])[:, _ORDERS] / _SAMPLES
-    q = np.fft.fft(slope[live] ** 2)[:, _ORDERS] / _SAMPLES
+    var, slope = sample(np.broadcast_to(_PHASES, (len(schemes) * rows, _SAMPLES)))
+    flat = ~slope.any(axis=1)
+    # V'Q - VQ' keeps its roots when V and Q are scaled: a power of two per row is
+    # exact, and keeps the product of a large variance and slope^2 from overflowing
+    var = np.ldexp(var, -np.frexp(var.max(axis=1, keepdims=True))[1])
+    slope = np.ldexp(slope, -np.frexp(slope.max(axis=1, keepdims=True))[1])
+    v = np.fft.fft(var)[:, _ORDERS] / _SAMPLES
+    q = np.fft.fft(slope ** 2)[:, _ORDERS] / _SAMPLES
     stationary = _stationarity(v, q)
     size = np.abs(stationary)
     stationary[size <= _TRIM * size.max(axis=1, keepdims=True)] = 0.0
     candidates = _root_phases(stationary)
-    single = [(part, terms) for scheme, part, terms, _ in parts
+    single = [(block, terms) for scheme, block, terms, _ in blocks
               if isinstance(scheme, SingleModeIntensity)]
-    for part, terms in single:
+    for block, terms in single:
         # a root on a dark fringe is judged just beside it, where the value keeps its digits
-        roots = candidates[part]
-        candidates[part] = np.where(_dark_fringe(terms, roots), (roots + _NUDGE) % TWO_PI, roots)
-    values = judge(candidates)
+        roots = candidates[block]
+        candidates[block] = np.where(_dark_fringe(terms, roots), (roots + _NUDGE) % TWO_PI, roots)
+    values = _delta_phi(*sample(candidates))
 
     # the candidates are sorted, so a later one must be lower by more than the tie margin
-    best_phi, best_value = np.zeros(live.size), np.full(live.size, math.inf)
+    best_phi, best_value = np.zeros(flat.size), np.full(flat.size, math.inf)
     for phi, value in zip(candidates.T, values.T):
         wins = value < best_value * (1.0 - _TIE)
         best_phi = np.where(wins, phi, best_phi)
         best_value = np.where(wins, value, best_value)
 
     def objective(trial):
-        trial_values = judge(trial % TWO_PI)
-        for part, terms in single:
-            trial_values[part][_dark_fringe(terms, trial[part])] = math.inf
+        trial_values = _delta_phi(*sample(trial % TWO_PI))
+        for block, terms in single:
+            trial_values[block][_dark_fringe(terms, trial[block])] = math.inf
         return trial_values
 
     # lockstep grid refinement around every winner, kept where it is lower
     center, low = grid_minimize(objective, best_phi, _POLISH, _LEVELS)
     wins = low < best_value * (1.0 - _TIE)
-    phase[live] = np.where(wins, center % TWO_PI, best_phi)
-    best[live] = np.where(wins, low, best_value)
-    return phase, best, flat
+    return np.where(wins, center % TWO_PI, best_phi), np.where(wins, low, best_value), flat
 
 
 def _stacked(scheme: DetectionScheme, scenarios):
@@ -374,8 +361,7 @@ def working_points(schemes, scenarios) -> tuple[np.ndarray, np.ndarray]:
     :func:`optimal_working_point` would raise ``FlatObjective`` for it.
     """
     phase, values, flat = _working_points(schemes, scenarios)
-    own = np.tile([scenario.phase for scenario in scenarios], len(schemes))
-    phase[flat] = own[flat]
+    phase[flat] = np.tile([scenario.phase for scenario in scenarios], len(schemes))[flat]
     _check_positive(values)
     shape = (len(schemes), len(scenarios))
     return phase.reshape(shape), values.reshape(shape)

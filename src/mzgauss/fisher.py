@@ -118,6 +118,19 @@ def phase_fisher_elements(alpha, beta, r, z, theta, phi_zeta, theta_beta,
     return f_ss, f_dd, f_sd
 
 
+def _or_inf(fn, x: float) -> float:
+    """``fn(x)``, or inf where it overflows: only the families that use it become non-finite."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+
+
+def _times(square, factor: float):
+    """``square * factor``, where a zero amplitude stays 0 also against an infinite factor."""
+    return square * factor if factor < math.inf else np.where(square == 0.0, 0.0, square * factor)
+
+
 def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     """Optimal QFIs of the families PMC1, PMC2 and PMC3, stacked along axis 0.
 
@@ -131,26 +144,24 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     a sum of non-negative terms.  Where top is 0 the plain sum is kept, so
     that the exact PMC1/PMC3 tie at beta = 0 is not broken by one rounding.
 
-    Squeeze factors whose sinh or exp overflow raise ``NumericalOverflow``; an
-    amplitude that overflows a term leaves inf or nan in the value it enters.
+    A term that overflows, of the squeeze factors or of the amplitudes,
+    leaves inf or nan in the values of the families it enters, and only there.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    try:
-        e2r, e2z = math.exp(2.0 * r), math.exp(2.0 * z)
-        sh_plus, sh_minus = math.sinh(r + z) ** 2, math.sinh(r - z) ** 2
-        s_helper = 0.5 * (math.sinh(2.0 * r) ** 2 + math.sinh(2.0 * z) ** 2)
-    except OverflowError:
-        raise NumericalOverflow(f"the PMC QFIs overflow at r = {r:g}, z = {z:g}") from None
+    e2r, e2z = _or_inf(math.exp, 2.0 * r), _or_inf(math.exp, 2.0 * z)
+    sh_plus, sh_minus, sh_2r, sh_2z = (_or_inf(lambda x: math.sinh(x) ** 2, x)
+                                       for x in (r + z, r - z, 2.0 * r, 2.0 * z))
+    s_helper = 0.5 * (sh_2r + sh_2z)
 
-    # an overflow below leaves an inf or a nan in its family's value, which
-    # qfi_closed_form and the regimes command check; bottom = 0 only at
+    # an overflow leaves an inf or a nan in the value of each family it enters,
+    # which qfi_closed_form and the regimes command check; bottom = 0 only at
     # alpha = beta = r = z = 0, where np.where takes the plain sum
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a2, b2 = alpha * alpha, beta * beta
-        a2e2r = a2 * e2r
+        a2e2r = _times(a2, e2r)
         pmc1 = a2e2r + b2 / e2z + sh_plus
-        coherent = a2e2r + b2 * e2z
+        coherent = a2e2r + _times(b2, e2z)
         pmc2 = coherent + sh_minus
         split = (alpha - beta) * (alpha + beta)
         bottom = s_helper + b2 * e2r + a2 * e2z

@@ -84,10 +84,6 @@ def _apply_chain(c: complex, basis: tuple[np.ndarray, np.ndarray], vecs: np.ndar
     return ((coeffs * np.exp(1j * abs(c) * eigvals)) @ eigvecs.T) * gauge
 
 
-def _annihilator(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-
-
 @functools.lru_cache(maxsize=2)
 def _ladder_bases(n_max: int, step: int) -> tuple[tuple[np.ndarray, tuple], ...]:
     """(Fock indices, eigenpairs) of each chain of (a^dag)^step, one per residue of n mod step."""
@@ -126,17 +122,15 @@ def _single_mode_vector(port: GaussianPort, n_max: int) -> np.ndarray:
 def single_mode_moments(port: GaussianPort, n_max: int = 60) -> PortMoments:
     """The port moments extracted from the truncated Fock vector."""
     vec = _single_mode_vector(port, n_max)
-    dim = n_max + 1
-    a = _annihilator(dim)
-    ns = np.arange(dim, dtype=float)
-
     tail = float(np.sum(np.abs(vec[-2:]) ** 2))
     if tail >= TAIL_TOL:
         raise TruncationError(tail, n_max)
 
-    av = a @ vec
-    mean_a = complex(np.vdot(vec, av))
-    mean_a2 = complex(np.vdot(vec, a @ av))
+    # the ladder moments as in output_stats: sums over shifted slices of the vector
+    ns = np.arange(n_max + 1.0)
+    root = np.sqrt(ns[1:])
+    mean_a = complex(np.vdot(vec[:-1], root * vec[1:]))
+    mean_a2 = complex(np.vdot(vec[:-2], root[:-1] * root[1:] * vec[2:]))
     mean_n = float(np.dot(ns, np.abs(vec) ** 2))
     return PortMoments(mean_a=mean_a, mean_n=mean_n, dn=mean_n - abs(mean_a) ** 2,
                        dm=mean_a2 - mean_a ** 2)

@@ -86,6 +86,11 @@ def test_zero_magnitude_canonicalizes_phase():
     assert Coherent(1.0, -0.5).phase == pytest.approx(2 * math.pi - 0.5)
 
 
+def test_tiny_negative_phase_wraps_to_zero():
+    """-1e-20 + 2 pi rounds to 2 pi itself, which lies outside [0, 2 pi)."""
+    assert Coherent(1.0, -1e-20).phase == 0.0
+
+
 def test_negative_magnitude_rejected():
     with pytest.raises(ValueError):
         Coherent(-1.0)
