@@ -286,8 +286,8 @@ def cmd_sweep(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     def scenario_at(value):
         return build_scenario(dict(n, **{_SWEEP_KEYS[axis]: float(value)}))
 
-    # every column is one array over the grid: one working-point pass for all schemes,
-    # one kernel pass per scheme otherwise
+    # every column is one array over the grid, and all schemes come from one call: one
+    # working-point pass over the alpha or beta rows, one sensitivity pass over phi or eta
     if axis in ("alpha", "beta"):
         scenarios = [scenario_at(value) for value in grid]
         bounds = [_bound(qfi(scenario), n["shots"]) for scenario in scenarios]
@@ -298,16 +298,16 @@ def cmd_sweep(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
         base = scenario_at(grid[0])
         tail = "," + fmt(_bound(qfi(base), n["shots"])) + "\n"  # the same bound on every row
         if axis == "phi":
-            columns = [detection.sensitivities(scheme, base, grid) for scheme in schemes]
+            columns = detection.sensitivities(schemes, base, grid)
         else:
-            try:
-                for value in grid:
-                    base.with_efficiency(float(value))
-            except InvalidEfficiency as exc:
-                raise ConfigError(str(exc)) from None
-            columns = [detection.sensitivities(scheme, base, base.phase, grid)
-                       for scheme in schemes]
-        columns = [column.tolist() for column in columns]
+            outside = (grid <= 0.0) | (grid > 1.0)
+            if outside.any():  # the scenario words the error for the first of them
+                try:
+                    base.with_efficiency(float(grid[outside.argmax()]))
+                except InvalidEfficiency as exc:
+                    raise ConfigError(str(exc)) from None
+            columns = detection.sensitivities(schemes, base, base.phase, grid)
+        columns = columns.tolist()
 
     header = [axis] + [f"delta_phi_{tag}" for tag in tags] + ["delta_phi_qcrb"]
     _write_csv(out, [_config_comment(n), f"# axis: {axis} from {fmt(lo)} to {fmt(hi)} in {steps} steps"],
@@ -509,8 +509,13 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="override a config key; angles accept a '*pi' suffix")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparser of each command name."""
     parser = argparse.ArgumentParser(
         prog="mzgauss",
         description="Phase-estimation performance of a Mach-Zehnder interferometer "
@@ -558,7 +563,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, default=1.2)
     p.add_argument("--squeeze-max", type=float, default=0.6)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with one parse of a command's own tokens.
+
+    The top-level parser would scan every token before it hands those after
+    the command name to the subparser, which parses them again.  So argv that
+    starts with a command name goes straight to that subparser, and the
+    top-level parser reports what the subparser leaves over, as its
+    ``parse_args`` would; any other argv goes to the top-level parser.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _open_output(path: str) -> tuple[IO[str], str | None]:
@@ -601,8 +626,7 @@ def _close_output(stream: IO[str], staging: str | None, path: str, success: bool
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     err = sys.stderr
 
     try:

@@ -24,6 +24,7 @@ infinity marker is returned instead of raising.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -64,6 +65,10 @@ class Homodyne:
 
     local_phase: float | None = None
 
+    def __post_init__(self):
+        if self.local_phase is not None and not math.isfinite(self.local_phase):
+            raise ValueError(f"local_phase must be finite, got {self.local_phase!r}")
+
 
 DetectionScheme = Union[DifferenceIntensity, SingleModeIntensity, Homodyne]
 
@@ -77,76 +82,129 @@ class SensitivityPoint:
         _check_positive(np.array([self.delta_phi]))
 
 
-def _terms(scheme: DetectionScheme, scenario: MziScenario) -> tuple:
-    """The phase-independent constants of a scheme's mean, variance and slope."""
-    if isinstance(scheme, Homodyne):
-        p0, p1 = scenario.folded_moments
-        phi_l = scheme.local_phase
-        if phi_l is None:
-            phi_l = scenario.port1.displacement.phase
-        rot = cmath.exp(-1j * phi_l)
-        # a port's quadrature variance at angle phi_l is a quarter of its noise along e^{i phi_l}
-        q0, q1 = (0.25 * (root * root + (axis * rot.conjugate()).imag ** 2)
-                  for root, axis in map(quadrature_noise, (p0, p1)))
-        quad0, quad1 = (drop_residue((rot * p.mean_a).real, abs(p.mean_a)) for p in (p0, p1))
-        return quad0, quad1, q0, q1
-    columns, (total, jx, _, jz) = scenario.factor
-    if isinstance(scheme, DifferenceIntensity):
-        # n5 - n4 = cos(phi) Jz + sin(phi) Jx, and n4 + n5 = N is conserved
-        return columns[0], columns[3], columns[1], jz, jx, total
-    # -2 n4 = cos(phi) Jz + sin(phi) Jx - N; the mean comes from the port-4 amplitude
+def _terms(schemes, scenario: MziScenario) -> list[tuple]:
+    """The phase-independent constants of each scheme's mean, variance and slope.
+
+    The intensity schemes hold the same Gram column objects, so that the Gram
+    rows of one :class:`_Phases` serve them all.
+    """
     p0, p1 = scenario.folded_moments
-    return (columns[0], columns[3], columns[1], 0.5 * jz, 0.5 * jx,
-            p0.mean_a, p1.mean_a, p0.dn, p1.dn)
+    gram = None
+    out = []
+    for scheme in schemes:
+        if isinstance(scheme, Homodyne):
+            phi_l = scheme.local_phase
+            if phi_l is None:
+                phi_l = scenario.port1.displacement.phase
+            rot = cmath.exp(-1j * phi_l)
+            # a port's quadrature variance at angle phi_l is a quarter of its noise along e^{i phi_l}
+            q0, q1 = (0.25 * (root * root + (axis * rot.conjugate()).imag ** 2)
+                      for root, axis in map(quadrature_noise, (p0, p1)))
+            quad0, quad1 = (drop_residue((rot * p.mean_a).real, abs(p.mean_a)) for p in (p0, p1))
+            out.append((quad0, quad1, q0, q1))
+            continue
+        if gram is None:
+            (along_n, along_x, _, along_z), (total, jx, _, jz) = scenario.factor
+            gram = along_n, along_z, along_x
+        if isinstance(scheme, DifferenceIntensity):
+            # n5 - n4 = cos(phi) Jz + sin(phi) Jx, and n4 + n5 = N is conserved
+            out.append((*gram, jz, jx, total))
+        else:
+            # -2 n4 = cos(phi) Jz + sin(phi) Jx - N; the mean comes from the port-4 amplitude
+            out.append((*gram, 0.5 * jz, 0.5 * jx, p0.mean_a, p1.mean_a, p0.dn, p1.dn))
+    return out
 
 
 def _excess(efficiency):
     """Loss excess (1 - eta)/eta: the detector noise added to the ideal observable."""
-    with np.errstate(over="ignore"):  # an infinite excess makes the variance raise in _kernel
+    with np.errstate(over="ignore"):  # an infinite excess makes the variance raise
         return (1.0 - efficiency) / efficiency
 
 
-def _kernel(scheme: DetectionScheme, terms, phi, excess):
-    """Mean, variance with detector loss and |d<A>/dphi| at the phases ``phi``.
+class _Phases:
+    """Phases and their trigonometry, computed once for every scheme evaluated at them.
+
+    One instance serves one scenario, or one stack of scenarios: the Gram rows
+    are kept for the next scheme that asks with the same two columns.
+    """
+
+    def __init__(self, phi):
+        self.phi = phi
+        self._gram = None
+
+    @functools.cached_property
+    def full(self):
+        """(cos phi, sin phi)."""
+        return np.cos(self.phi), np.sin(self.phi)
+
+    @functools.cached_property
+    def half(self):
+        """(sin phi/2, cos phi/2)."""
+        half = 0.5 * self.phi
+        return np.sin(half), np.cos(half)
+
+    def gram(self, along_z, along_x):
+        """The rows cos(phi) F_z + sin(phi) F_x of the Gram factor."""
+        if self._gram is None or self._gram[0] is not along_z or self._gram[1] is not along_x:
+            cos, sin = self.full
+            self._gram = along_z, along_x, cos[..., None] * along_z + sin[..., None] * along_x
+        return self._gram[2]
+
+
+def _kernel(scheme: DetectionScheme, terms, at: _Phases, excess):
+    """Mean, variance with detector loss and |d<A>/dphi| at the phases of ``at``.
 
     ``terms`` are the constants of :func:`_terms`, as floats (vectors of the
     Gram factor) or stacked as ``(rows, 1)`` (``(rows, 1, 11)``); they broadcast
-    against ``phi`` and ``excess``.  Mean and variance are those of the ideal
+    against the phases and ``excess``.  Mean and variance are those of the ideal
     observable; the slope scales out of Delta phi, so loss only adds variance.
+    Callers run it with overflow and invalid values ignored, and pass the
+    variance to :func:`_check_finite`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows raises below
-        if isinstance(scheme, Homodyne):
-            quad0, quad1, qvar0, qvar1 = terms
-            half = 0.5 * phi
-            sin_half, cos_half = np.sin(half), np.cos(half)
-            mean = -sin_half * quad0 + cos_half * quad1
-            slope = 0.5 * np.abs(cos_half * quad0 + sin_half * quad1)
-            var = sin_half ** 2 * qvar0 + cos_half ** 2 * qvar1 + 0.25 * excess
-        else:
-            # each count is +-(cos(phi) Jz + sin(phi) Jx - c N) / w over (N, Jx, Jy, Jz), with
-            # variance |F (.)|^2 / w^2, a sum of squares, and a slope read from the means <J>
-            along_n, along_z, along_x, split, cross, *rest = terms
-            cos, sin = np.cos(phi), np.sin(phi)
-            rows = cos[..., None] * along_z + sin[..., None] * along_x
-            slope = np.abs(sin * split - cos * cross)
-            if isinstance(scheme, DifferenceIntensity):
-                mean = -(cos * split) - sin * cross
-                detected, weight = rest[0], 1.0
-            else:
-                # port 4 is cos(phi/2) a1 - sin(phi/2) a0, with amplitude u: taking u itself,
-                # not |u|^2 written out, keeps the digits of the mean next to a dark fringe,
-                # where the terms of |u|^2 cancel
-                rows -= along_n
-                mean0, mean1, dn0, dn1 = rest
-                half = 0.5 * phi
-                sin_half, cos_half = np.sin(half), np.cos(half)
-                u = cos_half * mean1 - sin_half * mean0
-                mean = u.real ** 2 + u.imag ** 2 + (sin_half ** 2 * dn0 + cos_half ** 2 * dn1)
-                detected, weight = mean, 0.25
-            var = weight * np.einsum("...i,...i->...", rows, rows) + excess * detected
-    if var.size and not math.isfinite(var.max()):  # inf, or nan from an infinite loss term times 0
-        raise NumericalOverflow("a detection variance overflows")
+    if isinstance(scheme, Homodyne):
+        quad0, quad1, qvar0, qvar1 = terms
+        sin_half, cos_half = at.half
+        mean = -sin_half * quad0 + cos_half * quad1
+        slope = 0.5 * np.abs(cos_half * quad0 + sin_half * quad1)
+        var = sin_half ** 2 * qvar0 + cos_half ** 2 * qvar1 + 0.25 * excess
+        return mean, var, slope
+    # each count is +-(cos(phi) Jz + sin(phi) Jx - c N) / w over (N, Jx, Jy, Jz), with
+    # variance |F (.)|^2 / w^2, a sum of squares, and a slope read from the means <J>
+    along_n, along_z, along_x, split, cross, *rest = terms
+    cos, sin = at.full
+    rows = at.gram(along_z, along_x)
+    slope = np.abs(sin * split - cos * cross)
+    if isinstance(scheme, DifferenceIntensity):
+        mean = -(cos * split) - sin * cross
+        detected, weight = rest[0], 1.0
+    else:
+        # port 4 is cos(phi/2) a1 - sin(phi/2) a0, with amplitude u: taking u itself,
+        # not |u|^2 written out, keeps the digits of the mean next to a dark fringe,
+        # where the terms of |u|^2 cancel
+        rows = rows - along_n  # a new array: the Gram rows are shared
+        mean0, mean1, dn0, dn1 = rest
+        sin_half, cos_half = at.half
+        u = cos_half * mean1 - sin_half * mean0
+        mean = u.real ** 2 + u.imag ** 2 + (sin_half ** 2 * dn0 + cos_half ** 2 * dn1)
+        detected, weight = mean, 0.25
+    var = weight * np.einsum("...i,...i->...", rows, rows) + excess * detected
     return mean, var, slope
+
+
+def _check_finite(var) -> None:
+    """Raise where a variance overflowed: inf, or nan from an infinite loss term times 0."""
+    if var.size and not math.isfinite(var.max()):
+        raise NumericalOverflow("a detection variance overflows")
+
+
+def _evaluate(schemes, terms, at: _Phases, excess) -> np.ndarray:
+    """Mean, variance and slope of every scheme on one scenario, as a (3, len(schemes), ...) array."""
+    out = np.empty((3, len(schemes), *np.broadcast(at.phi, excess).shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows raises below
+        for k, (scheme, scheme_terms) in enumerate(zip(schemes, terms)):
+            out[0, k], out[1, k], out[2, k] = _kernel(scheme, scheme_terms, at, excess)
+    _check_finite(out[1])
+    return out
 
 
 def _delta_phi(var, slope):
@@ -174,22 +232,24 @@ def observable_stats(scheme: DetectionScheme, scenario: MziScenario, phases):
 
     The variance includes detector loss, in units of the ideal observable.
     """
-    mean, var, _ = _kernel(scheme, _terms(scheme, scenario), np.asarray(phases, dtype=float),
-                           _excess(scenario.efficiency))
-    return mean, var
+    mean, var, _ = _evaluate([scheme], _terms([scheme], scenario),
+                             _Phases(np.asarray(phases, dtype=float)), _excess(scenario.efficiency))
+    return mean[0], var[0]
 
 
-def sensitivities(scheme: DetectionScheme, scenario: MziScenario, phases,
-                  efficiencies=None) -> np.ndarray:
-    """Delta phi at each of ``phases``, broadcast against ``efficiencies``.
+def sensitivities(schemes, scenario: MziScenario, phases, efficiencies=None) -> np.ndarray:
+    """Delta phi of every scheme at each of ``phases``, broadcast against ``efficiencies``.
 
-    Without ``efficiencies`` the scenario's efficiency holds throughout.  A
-    value that is neither positive nor +inf raises like :class:`SensitivityPoint`.
+    The result is a ``(len(schemes), ...)`` array from one pass: row ``k`` is
+    that of ``schemes[k]``, and the phase trigonometry and Gram rows are
+    computed once for all rows.  Without ``efficiencies`` the scenario's
+    efficiency holds throughout.  A value that is neither positive nor +inf
+    raises like :class:`SensitivityPoint`.
     """
-    phases = np.asarray(phases, dtype=float)
     excess = _excess(scenario.efficiency if efficiencies is None
                      else np.asarray(efficiencies, dtype=float))
-    _, var, slope = _kernel(scheme, _terms(scheme, scenario), phases, excess)
+    _, var, slope = _evaluate(schemes, _terms(schemes, scenario),
+                              _Phases(np.asarray(phases, dtype=float)), excess)
     values = _delta_phi(var, slope)
     _check_positive(values)
     return values
@@ -208,7 +268,7 @@ def observable_variance(scheme: DetectionScheme, scenario: MziScenario) -> float
 def sensitivity(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
     """Delta phi = sqrt(variance) / |slope| at the scenario phase and efficiency."""
     return SensitivityPoint(scenario.phase,
-                            float(sensitivities(scheme, scenario, [scenario.phase])[0]))
+                            float(sensitivities([scheme], scenario, scenario.phase)[0]))
 
 
 # --- optimal working points ---------------------------------------------------
@@ -296,14 +356,17 @@ def _working_points(schemes, scenarios):
     phase dependence are marked flat: their one candidate, phase 0, is +inf.
     """
     rows = len(scenarios)
-    blocks = [(scheme, slice(k * rows, (k + 1) * rows), *_stacked(scheme, scenarios))
-              for k, scheme in enumerate(schemes)]
+    stacks, excess = _stacked(schemes, scenarios)
+    blocks = [(scheme, slice(k * rows, (k + 1) * rows), terms)
+              for k, (scheme, terms) in enumerate(zip(schemes, stacks))]
 
     def sample(phi):
         """Variance and slope of every row at its own phases ``phi``."""
         var, slope = np.empty(phi.shape), np.empty(phi.shape)
-        for scheme, block, terms, excess in blocks:
-            _, var[block], slope[block] = _kernel(scheme, terms, phi[block], excess)
+        with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows raises below
+            for scheme, block, terms in blocks:
+                _, var[block], slope[block] = _kernel(scheme, terms, _Phases(phi[block]), excess)
+        _check_finite(var)
         return var, slope
 
     var, slope = sample(np.broadcast_to(_PHASES, (len(schemes) * rows, _SAMPLES)))
@@ -318,7 +381,7 @@ def _working_points(schemes, scenarios):
     size = np.abs(stationary)
     stationary[size <= _TRIM * size.max(axis=1, keepdims=True)] = 0.0
     candidates = _root_phases(stationary)
-    single = [(block, terms) for scheme, block, terms, _ in blocks
+    single = [(block, terms) for scheme, block, terms in blocks
               if isinstance(scheme, SingleModeIntensity)]
     for block, terms in single:
         # a root on a dark fringe is judged just beside it, where the value keeps its digits
@@ -345,11 +408,12 @@ def _working_points(schemes, scenarios):
     return np.where(wins, center % TWO_PI, best_phi), np.where(wins, low, best_value), flat
 
 
-def _stacked(scheme: DetectionScheme, scenarios):
-    """Constants and loss excess of several scenarios as (rows, 1) arrays."""
-    columns = zip(*(_terms(scheme, scenario) for scenario in scenarios))
-    excess = _excess(np.array([[scenario.efficiency] for scenario in scenarios]))
-    return [np.array(column)[:, None] for column in columns], excess
+def _stacked(schemes, scenarios):
+    """Constants of every scheme on several scenarios as (rows, 1) arrays, and the loss excess."""
+    per_scenario = [_terms(schemes, scenario) for scenario in scenarios]
+    stacks = [[np.array(column)[:, None] for column in zip(*(terms[k] for terms in per_scenario))]
+              for k in range(len(schemes))]
+    return stacks, _excess(np.array([[scenario.efficiency] for scenario in scenarios]))
 
 
 def working_points(schemes, scenarios) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ truncated Fock oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,10 @@ def _times(square, factor: float):
     return square * factor if factor < math.inf else np.where(square == 0.0, 0.0, square * factor)
 
 
+# S > max double / 2 once it overflows, so rest / S < 2^-53 below this
+_SMALL_REST = sys.float_info.max * 2.0 ** -54
+
+
 def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     """Optimal QFIs of the families PMC1, PMC2 and PMC3, stacked along axis 0.
 
@@ -143,6 +148,9 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     [e^{2r+2z} (alpha^2 - beta^2)^2 + S (alpha^2 e^{2r} + beta^2 e^{2z})] / bottom,
     a sum of non-negative terms.  Where top is 0 the plain sum is kept, so
     that the exact PMC1/PMC3 tie at beta = 0 is not broken by one rounding.
+    Where S overflows (r or z above about 177.4) the plain sum is PMC3's value
+    to within an ulp as long as beta^2 e^{2r} + alpha^2 e^{2z} stays below
+    2^-54 of the largest double; past that PMC3 is left nan.
 
     A term that overflows, of the squeeze factors or of the amplitudes,
     leaves inf or nan in the values of the families it enters, and only there.
@@ -173,7 +181,13 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
             scaled = sh_plus + ((e2r * split) * (e2z * (split / bottom))
                                 + (s_helper / bottom) * coherent)
             reduced = np.where(np.isinf(top), scaled, reduced)
-        pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, reduced)
+        plain = a2 * b2 == 0.0
+        if math.isinf(s_helper):
+            # top / bottom = coherent - (alpha beta)^2 (e2r + e2z)^2 / bottom, and the
+            # correction is at most coherent * rest / bottom with rest = beta^2 e^{2r} +
+            # alpha^2 e^{2z}: below 2^-53 of coherent while rest stays under _SMALL_REST
+            plain |= b2 * e2r + a2 * e2z <= _SMALL_REST
+        pmc3 = np.where(plain, coherent + sh_plus, reduced)
     return np.stack((pmc1, pmc2, pmc3))
 
 

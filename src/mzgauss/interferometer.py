@@ -43,6 +43,8 @@ class MziScenario:
     efficiency: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
         if not 0.0 < self.efficiency <= 1.0:
             raise InvalidEfficiency(f"efficiency must be in (0, 1], got {self.efficiency}")
 

@@ -84,7 +84,7 @@ def scan_optimum(scheme, scenario, points=4000):
     It shares no search code with the optimizer, which refines on a grid.
     """
     phis = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    k = int(np.argmin(sensitivities(scheme, scenario, phis)))
+    k = int(np.argmin(sensitivities([scheme], scenario, phis)[0]))
     step = 2 * math.pi / points
     return _golden_minimize(lambda p: sensitivity(scheme, scenario.with_phase(p)).delta_phi,
                             phis[k] - step, phis[k] + step, tol=1e-12)

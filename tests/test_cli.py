@@ -11,17 +11,19 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzgauss import detection
-from mzgauss.cli import build_scenario, fmt, load_config, main, parse_angle
+from mzgauss import cli, detection
+from mzgauss.cli import _build_parser, build_scenario, fmt, load_config, main, parse_angle
 from mzgauss.detection import (DifferenceIntensity, Homodyne, SingleModeIntensity,
                                optimal_working_point, sensitivity)
 from mzgauss.errors import FlatObjective
 from mzgauss.fisher import qcrb, qfi, qfi_closed_form
+from mzgauss.heisenberg import PowerFractions
 from mzgauss.pmc import PmcSet, classify
 
 from conftest import scan_optimum
@@ -373,6 +375,11 @@ _CONFIG_FILES = {"list.json": "[1, 2]", "unknown.json": '{"bogus": 1}'}
     # the first efficiency is valid, a later one is not
     (["sweep", "--axis", "eta", "--start", "1", "--stop", "0", "--steps", "3"],
      "efficiency must be in (0, 1], got 0.0"),
+    (["sweep", "--axis", "eta", "--start", "0.5", "--stop", "1.5", "--steps", "3"],
+     "efficiency must be in (0, 1], got 1.5\n"),
+    # the first of two efficiencies past 1 is named
+    (["sweep", "--axis", "eta", "--start", "0.5", "--stop", "2", "--steps", "4"],
+     "efficiency must be in (0, 1], got 1.5\n"),
 ])
 def test_config_errors_name_their_cause(argv, message, tmp_path, capsys):
     for name, text in _CONFIG_FILES.items():
@@ -525,6 +532,44 @@ def test_fisher_imports_nothing_from_pmc():
             assert all(alias.name != "pmc" for alias in node.names)
         elif isinstance(node, ast.Import):
             assert all("pmc" not in alias.name.split(".") for alias in node.names)
+
+
+def _mp_pmc3(alpha, beta, r, z):
+    """The published PMC3 QFI, cancellation and all, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        a, b, r, z = (mpmath.mpf(x) for x in (alpha, beta, r, z))
+        e2r, e2z = mpmath.exp(2 * r), mpmath.exp(2 * z)
+        bottom = ((mpmath.sinh(2 * r) ** 2 + mpmath.sinh(2 * z) ** 2) / 2
+                  + b * b * e2r + a * a * e2z)
+        return (a * a * e2r + b * b * e2z + mpmath.sinh(r + z) ** 2
+                - (a * b) ** 2 * (e2r + e2z) ** 2 / bottom)
+
+
+@pytest.mark.parametrize("fractions,n_tot", [("1e-20,1e-20,1,0", "1e154"),
+                                             ("0.2,1e-150,0.8,0", "1.3e154")])
+def test_heisenberg_pmc3_past_an_overflowing_squeeze_sum(fractions, n_tot, capsys):
+    """(sinh^2 2r + sinh^2 2z)/2 overflows at r = 178, but PMC3's value, the plain sum, fits."""
+    code = main(["heisenberg", "--pmc", "pmc3", "--fractions", fractions, "--n-tot", n_tot])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    header, rows = _rows(captured.out)
+    record = dict(zip(header, rows[0]))
+    split = PowerFractions(*map(float, fractions.split(",")), n_tot=float(n_tot))
+    magnitudes = split.to_magnitudes()
+    want = _mp_pmc3(*magnitudes)
+    assert record["exact_qfi"] == fmt(float(want))
+    assert abs(qfi_closed_form(*magnitudes, pmc=PmcSet.PMC3) - want) < 1e-15 * want
+
+
+def test_heisenberg_pmc3_refuses_where_the_plain_sum_is_off(capsys):
+    """With beta^2 e^{2r} near the double range, the plain sum is 1.5 times the value: exit 3."""
+    argv = ["heisenberg", "--pmc", "pmc3", "--fractions", "1e-150,0.2,0.8,0", "--n-tot", "1.3e154"]
+    magnitudes = PowerFractions(1e-150, 0.2, 0.8, 0.0, n_tot=1.3e154).to_magnitudes()
+    alpha, beta, r, z = magnitudes
+    plain = alpha ** 2 * math.exp(2 * r) + beta ** 2 * math.exp(2 * z) + math.sinh(r + z) ** 2
+    assert plain > 1.4 * float(_mp_pmc3(*magnitudes))
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: the pmc3 QFI overflows")
 
 
 def test_heisenberg_pmc3_divides_before_it_overflows(capsys):
@@ -833,12 +878,16 @@ def test_overflowing_detection_variance_exits_3(capsys):
 
 
 def test_sweep_kernel_calls_do_not_grow_with_steps(monkeypatch, capsys):
-    """One kernel pass per scheme and sweep, whatever the number of rows."""
+    """One kernel pass per scheme and sweep, whatever the number of rows.
+
+    The passes of a phi or an eta sweep share one set of phases, whose
+    trigonometry is then computed once.
+    """
     calls = []
     kernel = detection._kernel
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args)
         return kernel(*args)
 
     monkeypatch.setattr(detection, "_kernel", counted)
@@ -854,6 +903,9 @@ def test_sweep_kernel_calls_do_not_grow_with_steps(monkeypatch, capsys):
     assert count("phi", 64) == count("phi", 2) == len(SCHEMES)
     assert count("eta", 64) == count("eta", 2) == len(SCHEMES)
     assert count("alpha", 9) == count("alpha", 2) == count("beta", 17)
+    for axis in ("phi", "eta"):
+        count(axis, 64)
+        assert len({id(phases) for _, _, phases, _ in calls}) == 1
 
 
 _REGIMES_FLAGS = ("--r", "--z", "--alpha-min", "--alpha-max", "--beta-min", "--beta-max")
@@ -946,3 +998,45 @@ def test_slope_that_is_only_rounding_residue_prints_inf(capsys):
         _, rows[convention] = _rows(capsys.readouterr().out)
         assert rows[convention][0][1:4] == ["inf"] * 3, convention
     assert rows["symmetric"][-1] == rows["cube"][-1]
+
+
+# --- argv dispatch ---------------------------------------------------------------
+
+def _parse_outcome(parse, argv):
+    """(SystemExit code, stdout, stderr, parsed namespace) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+_SWEEP_FLAGS = ["--axis", "phi", "--start", "0", "--stop", "1", "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["sweep", "-h"], ["--help"], ["qfi", "--help"],
+    ["nosuch"], ["nosuch", "--steps", "3"], ["Qfi"], ["qf"], ["-x"], ["--", "qfi"],
+    ["sweep", "--axis", "phi"], ["sweep"], ["regimes", "--r", "1"],
+    ["sweep", "--axis", "psi", "--start", "0", "--stop", "1", "--steps", "3"],
+    ["regimes", "--r", "1", "--z", "1", "--spacing", "cubic"],
+    ["qfi", "--bogus", "1"], ["qfi", "stray", "tokens"], ["sweep", *_SWEEP_FLAGS, "--zzz"],
+    ["sweep", "--ax", "phi", "--sta", "0", "--sto", "1", "--ste", "3"], ["qfi", "--se", "phase=1"],
+    ["sweep", "--s", "0"], ["qfi", "--he"],
+    ["qfi", "--set=port1.alpha.magnitude=2"],
+    ["sweep", "--axis=phi", "--start=-1", "--stop=1", "--steps=3"],
+    ["qfi", "--", "--set", "phase=1"], ["qfi", "--set", "phase=1", "--"],
+    ["sweep", "--axis", "phi", "--start", "-1", "--stop", "-0.5", "--steps", "4"],
+    ["regimes", "--r", "-1", "--z", "1"], ["sweep", "-1"], ["verify", "--seed", "-3", "-7"],
+    ["qfi", "-o"], ["qfi", "--config"], ["sweep", *_SWEEP_FLAGS, "--steps", "x"],
+])
+def test_argv_dispatch_matches_the_top_level_parser(argv):
+    """``main`` exits, prints and parses as ``_build_parser().parse_args`` does on the same argv."""
+    want = _parse_outcome(_build_parser().parse_args, argv)
+    if want[0] is None:  # parsed: the command runs on the same namespace
+        assert _parse_outcome(cli._parse_args, argv) == want
+    else:
+        assert _parse_outcome(main, argv) == want

@@ -1,6 +1,7 @@
 """Detection-scheme means, variances, sensitivities and working points."""
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -152,6 +153,12 @@ def test_homodyne_variance_against_mpmath(factor, squeeze_phase):
         assert abs(got - expected) / expected < 1e-13, (local_phase, got, expected)
 
 
+@pytest.mark.parametrize("local_phase", [math.nan, math.inf])
+def test_non_finite_local_phase_rejected(local_phase):
+    with pytest.raises(ValueError, match="local_phase must be finite"):
+        Homodyne(local_phase)
+
+
 def test_homodyne_local_phase_override():
     sc = _sqzvac_scenario(1.4, 0.6, 0.0, theta_alpha=0.7).with_phase(math.pi)
     default = sensitivity(Homodyne(), sc).delta_phi
@@ -234,7 +241,7 @@ def test_working_points_beat_dense_phase_sampling(rng):
             sc = MziScenario(port1, port0, efficiency=efficiency)
             for scheme in ALL_SCHEMES:
                 best = optimal_working_point(scheme, sc).delta_phi
-                sampled = sensitivities(scheme, sc, phis).min()
+                sampled = sensitivities([scheme], sc, phis)[0].min()
                 assert best <= sampled * (1.0 + 1e-12)
 
 
@@ -247,15 +254,43 @@ def test_array_views_equal_scalar_views(rng):
         base = MziScenario(port1, port0, convention, efficiency=0.8)
         for scheme in ALL_SCHEMES:
             means, variances = observable_stats(scheme, base, phis)
-            values = sensitivities(scheme, base, phis)
+            values = sensitivities([scheme], base, phis)[0]
             for k, phi in enumerate(phis):
                 sc = base.with_phase(float(phi))
                 assert means[k] == observable_mean(scheme, sc)
                 assert variances[k] == observable_variance(scheme, sc)
                 assert values[k] == sensitivity(scheme, sc).delta_phi
             etas = np.linspace(0.3, 1.0, 8)
-            for eta, value in zip(etas, sensitivities(scheme, base, 1.1, etas)):
+            for eta, value in zip(etas, sensitivities([scheme], base, 1.1, etas)[0]):
                 assert value == sensitivity(scheme, base.with_phase(1.1).with_efficiency(eta)).delta_phi
+
+
+def _ordered_subsets(items):
+    return [subset for size in range(1, len(items) + 1)
+            for subset in itertools.permutations(items, size)]
+
+
+@pytest.mark.parametrize("local_phase", [None, 2.2])
+def test_stacked_sensitivities_equal_one_scheme_calls(local_phase, rng):
+    """Row k of one call for several schemes is the one-scheme call for schemes[k], bit for bit.
+
+    Over every ordered subset of df, sg and hom, on a phase array and on an
+    efficiency array, in both conventions, lossless and lossy.
+    """
+    schemes = (DifferenceIntensity(), SingleModeIntensity(), Homodyne(local_phase))
+    phis = rng.uniform(-1.0, 7.0, 24)
+    etas = np.linspace(0.3, 1.0, 9)
+    port1 = GaussianPort.from_params(1.3, 0.5, 0.4, 2.0)
+    port0 = GaussianPort.from_params(0.4, 1.8, 0.7, 0.9)
+    for convention in BsConvention:
+        for efficiency in (1.0, 0.7):
+            base = MziScenario(port1, port0, convention, 0.4, efficiency)
+            for args in ((phis,), (base.phase, etas)):
+                for subset in _ordered_subsets(schemes):
+                    values = sensitivities(list(subset), base, *args)
+                    assert values.shape == (len(subset), 24 if args[0] is phis else 9)
+                    for k, scheme in enumerate(subset):
+                        assert np.array_equal(values[k], sensitivities([scheme], base, *args)[0])
 
 
 def _number_moments(scenario):
@@ -330,7 +365,7 @@ def test_kernel_matches_per_phase_reference(rng):
         phis = rng.uniform(0, 2 * math.pi, 8)
         for scheme in ALL_SCHEMES + (Homodyne(local_phase=rng.uniform(0, 2 * math.pi)),):
             means, variances = observable_stats(scheme, base, phis)
-            values = sensitivities(scheme, base, phis)
+            values = sensitivities([scheme], base, phis)[0]
             for k, phi in enumerate(phis):
                 mean, var, slope = _per_phase_reference(scheme, base.with_phase(float(phi)))
                 scale = max(abs(mean), var, 1.0)  # the powers round apart by an ulp or so

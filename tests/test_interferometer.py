@@ -56,3 +56,13 @@ def test_efficiency_validated():
     with pytest.raises(InvalidEfficiency):
         MziScenario(port, port, efficiency=1.2)
     MziScenario(port, port, efficiency=1.0)  # boundary value allowed
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_rejected(phase):
+    """As for the ports' parameters, so that no detection formula reads a nan phase."""
+    port = GaussianPort.from_params(1.0)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        MziScenario(port, port, phase=phase)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        MziScenario(port, port).with_phase(phase)
