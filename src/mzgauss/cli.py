@@ -513,9 +513,65 @@ def _build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+class _FlagTable:
+    """A command's flags that take one value, read once off its subparser's own actions.
+
+    :meth:`parse` builds the namespace of argv made only of flag-value pairs,
+    as the subparser's ``parse_known_args`` would: each value converted by the
+    flag's ``type`` and checked against its ``choices``, the last value of a
+    store flag kept, the values of an append flag in a fresh list, and every
+    other flag at its default, in action order, followed by the
+    ``set_defaults`` entries.  (No flag here has a string default with a
+    ``type``, which argparse would convert.)
+    """
+
+    def __init__(self, parser: argparse.ArgumentParser):
+        self.parser = parser
+        actions = parser._actions  # argparse has no public view of a parser's actions
+        self.flags = {option: action for action in actions if action.nargs is None
+                      and isinstance(action, (argparse._StoreAction, argparse._AppendAction))
+                      for option in action.option_strings}
+        self.appends = {action.dest for action in actions if isinstance(action, argparse._AppendAction)}
+        self.defaults = {action.dest: action.default for action in actions
+                         if argparse.SUPPRESS not in (action.dest, action.default)}
+        for dest, value in parser._defaults.items():
+            self.defaults.setdefault(dest, value)
+        self.required = {action for action in actions if action.required}
+
+    def parse(self, tokens: list[str]) -> argparse.Namespace | None:
+        """The namespace of ``tokens``, or None where argparse must parse them.
+
+        That is any argv but exact flags each followed by a non-empty value
+        that does not start with ``-``, and any value that the flag's type or
+        choices refuse, or a required flag left out: argparse then words the
+        error, or reads the abbreviation, ``--flag=value`` or ``--`` form.
+        """
+        if len(tokens) % 2:
+            return None
+        given, seen = {}, set()
+        for flag, text in zip(tokens[::2], tokens[1::2]):
+            action = self.flags.get(flag)
+            if action is None or not text or text.startswith("-"):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            if action.dest in self.appends:
+                given.setdefault(action.dest, []).append(value)
+            else:
+                given[action.dest] = value
+            seen.add(action)
+        if not self.required <= seen:
+            return None
+        return argparse.Namespace(**{**self.defaults, **given})
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subparser of each command name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _FlagTable]]:
+    """The top-level parser and the flag table of each command name's subparser."""
     parser = argparse.ArgumentParser(
         prog="mzgauss",
         description="Phase-estimation performance of a Mach-Zehnder interferometer "
@@ -563,24 +619,29 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--beta-max", type=float, default=1.2)
     p.add_argument("--squeeze-max", type=float, default=0.6)
 
-    return parser, sub.choices
+    return parser, {name: _FlagTable(command) for name, command in sub.choices.items()}
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, with one parse of a command's own tokens.
+    """``_build_parser().parse_args(argv)``, without argparse for flag-value argv.
 
-    The top-level parser would scan every token before it hands those after
-    the command name to the subparser, which parses them again.  So argv that
-    starts with a command name goes straight to that subparser, and the
+    Argv that starts with a command name and goes on in exact flag-value
+    pairs is read off the command's :class:`_FlagTable`.  Any other argv that
+    starts with a command name goes to that subparser alone (the top-level
+    parser would scan every token before handing them to it), and the
     top-level parser reports what the subparser leaves over, as its
-    ``parse_args`` would; any other argv goes to the top-level parser.
+    ``parse_args`` would; argv that starts with anything else goes to the
+    top-level parser.  So argparse writes every error and help text.
     """
-    parser, commands = _parsers()
+    parser, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
+    args = table.parse(argv[1:])
+    if args is not None:
+        return args
+    args, extras = table.parser.parse_known_args(argv[1:])
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))
     return args

@@ -150,7 +150,9 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     that the exact PMC1/PMC3 tie at beta = 0 is not broken by one rounding.
     Where S overflows (r or z above about 177.4) the plain sum is PMC3's value
     to within an ulp as long as beta^2 e^{2r} + alpha^2 e^{2z} stays below
-    2^-54 of the largest double; past that PMC3 is left nan.
+    2^-54 of the largest double; past that top / bottom is taken with both
+    divided by u^2, u = sinh(2 max(r, z)), which stays finite up to
+    max(r, z) of about 355.
 
     A term that overflows, of the squeeze factors or of the amplitudes,
     leaves inf or nan in the values of the families it enters, and only there.
@@ -187,6 +189,13 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
             # correction is at most coherent * rest / bottom with rest = beta^2 e^{2r} +
             # alpha^2 e^{2z}: below 2^-53 of coherent while rest stays under _SMALL_REST
             plain |= b2 * e2r + a2 * e2z <= _SMALL_REST
+            # elsewhere divide top and bottom by u^2, u = sinh(2 max(r, z)), finite up to
+            # about 355: e^{2r} / u and e^{2z} / u stay at most about 2, sinh(2 r) / u at most 1
+            u = _or_inf(math.sinh, 2.0 * max(r, z))
+            er, ez = e2r / u, e2z / u
+            s_u = 0.5 * ((_or_inf(math.sinh, 2.0 * r) / u) ** 2 + (_or_inf(math.sinh, 2.0 * z) / u) ** 2)
+            reduced = sh_plus + (((er * split) * (ez * split) + s_u * coherent)
+                                 / (s_u + (b2 / u) * er + (a2 / u) * ez))
         pmc3 = np.where(plain, coherent + sh_plus, reduced)
     return np.stack((pmc1, pmc2, pmc3))
 
