@@ -517,7 +517,7 @@ class _FlagTable:
     """A command's flags that take one value, read once off its subparser's own actions.
 
     :meth:`parse` builds the namespace of argv made only of flag-value pairs,
-    as the subparser's ``parse_known_args`` would: each value converted by the
+    as the subparser's ``parse_args`` would: each value converted by the
     flag's ``type`` and checked against its ``choices``, the last value of a
     store flag kept, the values of an append flag in a fresh list, and every
     other flag at its default, in action order, followed by the
@@ -526,7 +526,6 @@ class _FlagTable:
     """
 
     def __init__(self, parser: argparse.ArgumentParser):
-        self.parser = parser
         actions = parser._actions  # argparse has no public view of a parser's actions
         self.flags = {option: action for action in actions if action.nargs is None
                       and isinstance(action, (argparse._StoreAction, argparse._AppendAction))
@@ -626,25 +625,14 @@ def _parse_args(argv) -> argparse.Namespace:
     """``_build_parser().parse_args(argv)``, without argparse for flag-value argv.
 
     Argv that starts with a command name and goes on in exact flag-value
-    pairs is read off the command's :class:`_FlagTable`.  Any other argv that
-    starts with a command name goes to that subparser alone (the top-level
-    parser would scan every token before handing them to it), and the
-    top-level parser reports what the subparser leaves over, as its
-    ``parse_args`` would; argv that starts with anything else goes to the
-    top-level parser.  So argparse writes every error and help text.
+    pairs is read off the command's :class:`_FlagTable`; any other argv goes
+    to the top-level parser, so argparse writes every error and help text.
     """
     parser, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     table = tables.get(argv[0]) if argv else None
-    if table is None:
-        return parser.parse_args(argv)
-    args = table.parse(argv[1:])
-    if args is not None:
-        return args
-    args, extras = table.parser.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    args = None if table is None else table.parse(argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def _open_output(path: str) -> tuple[IO[str], str | None]:

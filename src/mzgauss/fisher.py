@@ -14,7 +14,6 @@ truncated Fock oracle.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +131,6 @@ def _times(square, factor: float):
     return square * factor if factor < math.inf else np.where(square == 0.0, 0.0, square * factor)
 
 
-# S > max double / 2 once it overflows, so rest / S < 2^-53 below this
-_SMALL_REST = sys.float_info.max * 2.0 ** -54
-
-
 def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     """Optimal QFIs of the families PMC1, PMC2 and PMC3, stacked along axis 0.
 
@@ -148,10 +143,8 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     [e^{2r+2z} (alpha^2 - beta^2)^2 + S (alpha^2 e^{2r} + beta^2 e^{2z})] / bottom,
     a sum of non-negative terms.  Where top is 0 the plain sum is kept, so
     that the exact PMC1/PMC3 tie at beta = 0 is not broken by one rounding.
-    Where S overflows (r or z above about 177.4) the plain sum is PMC3's value
-    to within an ulp as long as beta^2 e^{2r} + alpha^2 e^{2z} stays below
-    2^-54 of the largest double; past that top / bottom is taken with both
-    divided by u^2, u = sinh(2 max(r, z)), which stays finite up to
+    Where S overflows (r or z above about 177.4) top / bottom is taken with
+    both divided by u^2, u = sinh(2 max(r, z)), which stays finite up to
     max(r, z) of about 355.
 
     A term that overflows, of the squeeze factors or of the amplitudes,
@@ -174,29 +167,25 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
         coherent = a2e2r + _times(b2, e2z)
         pmc2 = coherent + sh_minus
         split = (alpha - beta) * (alpha + beta)
-        bottom = s_helper + b2 * e2r + a2 * e2z
-        top = e2r * e2z * (split * split) + s_helper * coherent
-        reduced = sh_plus + top / bottom
-        if np.isinf(top).any():
-            # the numerator alone overflows: divide first, every factor of
-            # e2r split * e2z split / bottom and S / bottom * coherent is bounded
-            scaled = sh_plus + ((e2r * split) * (e2z * (split / bottom))
-                                + (s_helper / bottom) * coherent)
-            reduced = np.where(np.isinf(top), scaled, reduced)
-        plain = a2 * b2 == 0.0
         if math.isinf(s_helper):
-            # top / bottom = coherent - (alpha beta)^2 (e2r + e2z)^2 / bottom, and the
-            # correction is at most coherent * rest / bottom with rest = beta^2 e^{2r} +
-            # alpha^2 e^{2z}: below 2^-53 of coherent while rest stays under _SMALL_REST
-            plain |= b2 * e2r + a2 * e2z <= _SMALL_REST
-            # elsewhere divide top and bottom by u^2, u = sinh(2 max(r, z)), finite up to
-            # about 355: e^{2r} / u and e^{2z} / u stay at most about 2, sinh(2 r) / u at most 1
+            # divide top and bottom by u^2, u = sinh(2 max(r, z)), finite up to about 355:
+            # e^{2r} / u and e^{2z} / u stay at most about 2, sinh(2 r) / u at most 1
             u = _or_inf(math.sinh, 2.0 * max(r, z))
             er, ez = e2r / u, e2z / u
             s_u = 0.5 * ((_or_inf(math.sinh, 2.0 * r) / u) ** 2 + (_or_inf(math.sinh, 2.0 * z) / u) ** 2)
             reduced = sh_plus + (((er * split) * (ez * split) + s_u * coherent)
                                  / (s_u + (b2 / u) * er + (a2 / u) * ez))
-        pmc3 = np.where(plain, coherent + sh_plus, reduced)
+        else:
+            bottom = s_helper + b2 * e2r + a2 * e2z
+            top = e2r * e2z * (split * split) + s_helper * coherent
+            reduced = sh_plus + top / bottom
+            if np.isinf(top).any():
+                # the numerator alone overflows: divide first, every factor of
+                # e2r split * e2z split / bottom and S / bottom * coherent is bounded
+                scaled = sh_plus + ((e2r * split) * (e2z * (split / bottom))
+                                    + (s_helper / bottom) * coherent)
+                reduced = np.where(np.isinf(top), scaled, reduced)
+        pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, reduced)
     return np.stack((pmc1, pmc2, pmc3))
 
 

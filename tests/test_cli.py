@@ -552,8 +552,8 @@ def _mp_pmc3(alpha, beta, r, z):
 def test_heisenberg_pmc3_past_an_overflowing_squeeze_sum(fractions, n_tot, capsys):
     """(sinh^2 2r + sinh^2 2z)/2 overflows at r = 178, but PMC3's value fits.
 
-    In the first two cases it is the plain sum.  In the last, beta^2 e^{2r}
-    is near the double range and the plain sum 1.5 times the value.
+    In the first two cases it is the plain sum to within an ulp.  In the last,
+    beta^2 e^{2r} is near the double range and the plain sum 1.5 times the value.
     """
     code = main(["heisenberg", "--pmc", "pmc3", "--fractions", fractions, "--n-tot", n_tot])
     captured = capsys.readouterr()
@@ -1070,7 +1070,9 @@ def _good_value(action):
 @st.composite
 def _command_argv(draw):
     command = draw(st.sampled_from(sorted(_REQUIRED_PAIRS)))
-    flags = [action for action in cli._parsers()[1][command].parser._actions if action.nargs is None]
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = [action for action in commands.choices[command]._actions if action.nargs is None]
     good = st.sampled_from(flags).flatmap(
         lambda action: st.tuples(st.sampled_from(action.option_strings), _good_value(action)))
     options = [option for action in flags for option in action.option_strings]
