@@ -470,8 +470,9 @@ def cmd_verify(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
 
         stats = oracle.output_stats(oracle.evolve_many(inside, phis), base.port1.displacement.phase)
         checks = []  # (name, closed, oracle, tol), each value one entry per phase
-        for name, scheme, obs, tol in schemes:
-            means, variances = detection.observable_stats(scheme, base, phis)
+        closed_means, closed_variances = detection.observable_stats(
+            [scheme for _, scheme, _, _ in schemes], base, phis)
+        for (name, _, obs, tol), means, variances in zip(schemes, closed_means, closed_variances):
             checks += [(name, means, stats[obs], tol),
                        (name.replace("mean", "var"), variances, stats[obs + "_sq"] - stats[obs] ** 2, 1e-6)]
         for i, phi in enumerate(phis):

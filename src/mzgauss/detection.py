@@ -227,14 +227,16 @@ def _check_positive(values) -> None:
         raise ValueError(f"delta_phi must be positive or +inf, got {float(values[bad][0])}")
 
 
-def observable_stats(scheme: DetectionScheme, scenario: MziScenario, phases):
-    """Means and variances of the ideal observable at each of ``phases``, as arrays.
+def observable_stats(schemes, scenario: MziScenario, phases):
+    """Means and variances of every scheme's ideal observable at each of ``phases``.
 
-    The variance includes detector loss, in units of the ideal observable.
+    Both are ``(len(schemes), ...)`` arrays from one pass, as in
+    :func:`sensitivities`; row ``k`` is that of ``schemes[k]``.  The variance
+    includes detector loss, in units of the ideal observable.
     """
-    mean, var, _ = _evaluate([scheme], _terms([scheme], scenario),
+    mean, var, _ = _evaluate(schemes, _terms(schemes, scenario),
                              _Phases(np.asarray(phases, dtype=float)), _excess(scenario.efficiency))
-    return mean[0], var[0]
+    return mean, var
 
 
 def sensitivities(schemes, scenario: MziScenario, phases, efficiencies=None) -> np.ndarray:
@@ -257,12 +259,12 @@ def sensitivities(schemes, scenario: MziScenario, phases, efficiencies=None) -> 
 
 def observable_mean(scheme: DetectionScheme, scenario: MziScenario) -> float:
     """Mean of the ideal (lossless) observable at the scenario phase."""
-    return float(observable_stats(scheme, scenario, [scenario.phase])[0][0])
+    return float(observable_stats([scheme], scenario, [scenario.phase])[0][0, 0])
 
 
 def observable_variance(scheme: DetectionScheme, scenario: MziScenario) -> float:
     """Variance at the scenario phase, detector loss included, in units of the ideal observable."""
-    return float(observable_stats(scheme, scenario, [scenario.phase])[1][0])
+    return float(observable_stats([scheme], scenario, [scenario.phase])[1][0, 0])
 
 
 def sensitivity(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:
@@ -352,24 +354,25 @@ def _working_points(schemes, scenarios):
 
     The results have one block of ``len(scenarios)`` rows per scheme.  Only
     the kernel passes go scheme by scheme, each on :func:`_stacked` constants;
-    every other stage runs once over all rows.  Rows whose mean carries no
-    phase dependence are marked flat: their one candidate, phase 0, is +inf.
+    every other stage runs once over all rows, but the grid polish, which runs
+    once over the single-mode rows, if any.  Rows whose mean carries no phase
+    dependence are marked flat: their one candidate, phase 0, is +inf.
     """
     rows = len(scenarios)
     stacks, excess = _stacked(schemes, scenarios)
-    blocks = [(scheme, slice(k * rows, (k + 1) * rows), terms)
-              for k, (scheme, terms) in enumerate(zip(schemes, stacks))]
+    parts = list(zip(schemes, stacks))
 
-    def sample(phi):
-        """Variance and slope of every row at its own phases ``phi``."""
+    def sample(parts, phi):
+        """Variance and slope of the blocks of rows of ``parts``, each row at its own phases ``phi``."""
         var, slope = np.empty(phi.shape), np.empty(phi.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows raises below
-            for scheme, block, terms in blocks:
+            for k, (scheme, terms) in enumerate(parts):
+                block = slice(k * rows, (k + 1) * rows)
                 _, var[block], slope[block] = _kernel(scheme, terms, _Phases(phi[block]), excess)
         _check_finite(var)
         return var, slope
 
-    var, slope = sample(np.broadcast_to(_PHASES, (len(schemes) * rows, _SAMPLES)))
+    var, slope = sample(parts, np.broadcast_to(_PHASES, (len(schemes) * rows, _SAMPLES)))
     flat = ~slope.any(axis=1)
     # V'Q - VQ' keeps its roots when V and Q are scaled: a power of two per row is
     # exact, and keeps the product of a large variance and slope^2 from overflowing
@@ -381,13 +384,13 @@ def _working_points(schemes, scenarios):
     size = np.abs(stationary)
     stationary[size <= _TRIM * size.max(axis=1, keepdims=True)] = 0.0
     candidates = _root_phases(stationary)
-    single = [(block, terms) for scheme, block, terms in blocks
-              if isinstance(scheme, SingleModeIntensity)]
-    for block, terms in single:
+    single = [k for k, scheme in enumerate(schemes) if isinstance(scheme, SingleModeIntensity)]
+    for k in single:
         # a root on a dark fringe is judged just beside it, where the value keeps its digits
+        block = slice(k * rows, (k + 1) * rows)
         roots = candidates[block]
-        candidates[block] = np.where(_dark_fringe(terms, roots), (roots + _NUDGE) % TWO_PI, roots)
-    values = _delta_phi(*sample(candidates))
+        candidates[block] = np.where(_dark_fringe(stacks[k], roots), (roots + _NUDGE) % TWO_PI, roots)
+    values = _delta_phi(*sample(parts, candidates))
 
     # the candidates are sorted, so a later one must be lower by more than the tie margin
     best_phi, best_value = np.zeros(flat.size), np.full(flat.size, math.inf)
@@ -395,17 +398,27 @@ def _working_points(schemes, scenarios):
         wins = value < best_value * (1.0 - _TIE)
         best_phi = np.where(wins, phi, best_phi)
         best_value = np.where(wins, value, best_value)
+    if not single:
+        return best_phi, best_value, flat
+
+    # lockstep grid refinement around the single-mode winners, kept where it is lower:
+    # next to a dark fringe their value is a rounded 0/0.  A df or homodyne quotient
+    # has none, and a root off by 1e-8 rad moves it by about 1e-16, inside the tie margin
+    polished = [parts[k] for k in single]
+    picked = np.concatenate([np.arange(k * rows, (k + 1) * rows) for k in single])
 
     def objective(trial):
-        trial_values = _delta_phi(*sample(trial % TWO_PI))
-        for block, terms in single:
+        trial_values = _delta_phi(*sample(polished, trial % TWO_PI))
+        for k, (_, terms) in enumerate(polished):
+            block = slice(k * rows, (k + 1) * rows)
             trial_values[block][_dark_fringe(terms, trial[block])] = math.inf
         return trial_values
 
-    # lockstep grid refinement around every winner, kept where it is lower
-    center, low = grid_minimize(objective, best_phi, _POLISH, _LEVELS)
-    wins = low < best_value * (1.0 - _TIE)
-    return np.where(wins, center % TWO_PI, best_phi), np.where(wins, low, best_value), flat
+    center, low = grid_minimize(objective, best_phi[picked], _POLISH, _LEVELS)
+    wins = low < best_value[picked] * (1.0 - _TIE)
+    best_phi[picked[wins]] = center[wins] % TWO_PI
+    best_value[picked[wins]] = low[wins]
+    return best_phi, best_value, flat
 
 
 def _stacked(schemes, scenarios):
@@ -439,13 +452,17 @@ def optimal_working_point(scheme: DetectionScheme, scenario: MziScenario) -> Sen
     coefficients come from 16 samples; the stationarity condition
     V'Q - VQ' = 0 is then a polynomial of degree 8 in e^{i phi}, and the phase
     of each root is judged with the closed form ``sensitivity`` uses.  Among
-    near-equal candidates the lowest phase wins; a grid refinement around the
-    winner polishes the last digits where the root is imprecise.  This is the
-    one-row view of :func:`working_points`.
+    near-equal candidates the lowest phase wins.  This is the one-row view of
+    :func:`working_points`.
 
     Next to a dark fringe the single-mode Delta phi is a 0/0 quotient whose
     digits the rounding of the port-4 amplitude eats: there a root is judged
-    4e-5 rad aside, and the refinement skips such phases.
+    4e-5 rad aside.  A grid refinement around the single-mode winner then
+    polishes its last digits, skipping such phases, and is kept where it is
+    lower by more than the tie margin.  The difference and homodyne winners
+    are not refined: their quotient has no such 0/0, so at a simple minimum a
+    root off by 1e-8 rad moves the value by about 1e-16, and a refinement
+    never won there.
 
     How the single-mode optimum approaches exp(-r)/|alpha| is set out at
     ``SingleModeIntensity`` (8.0 times above at |alpha| = 1e3, r = 2.3, z = 2.2).

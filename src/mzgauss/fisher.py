@@ -131,6 +131,32 @@ def _times(square, factor: float):
     return square * factor if factor < math.inf else np.where(square == 0.0, 0.0, square * factor)
 
 
+def _scaled_quotient(alpha, beta, r: float, z: float, e2r: float, e2z: float):
+    """PMC3's top / bottom of :func:`pmc_qfis` with no intermediate overflow.
+
+    The quotient [e^{2r+2z} (a^2 - b^2)^2 + S C] / (S + D), with
+    C = a^2 e^{2r} + b^2 e^{2z} and D = b^2 e^{2r} + a^2 e^{2z}, is homogeneous
+    of degree 1 in (a^2, b^2, S) and in (e^{2r}, e^{2z}, S).  It is taken at
+    a and b divided by 2^c, the larger in [1/2, 1), and e^{2r} and e^{2z}
+    divided by 4^m, the larger below 1, and multiplied back by 4^(c + m): all
+    exact powers of two.  There it is C / (1 + D / S) +
+    (e^{2r} split) (e^{2z} split) / (S + D) with split = a^2 - b^2, whose
+    products overflow only where the quotient does; a scaled S that still
+    overflows leaves C.
+    """
+    c = np.frexp(np.maximum(np.abs(alpha), np.abs(beta)))[1]
+    m = (math.frexp(max(e2r, e2z))[1] + 1) // 2
+    a, b = np.ldexp(alpha, -c), np.ldexp(beta, -c)
+    a2, b2 = a * a, b * b
+    er, ez = math.ldexp(e2r, -2 * m), math.ldexp(e2z, -2 * m)
+    s_helper = 0.5 * (np.ldexp(_or_inf(math.sinh, 2.0 * r), -(c + m)) ** 2
+                      + np.ldexp(_or_inf(math.sinh, 2.0 * z), -(c + m)) ** 2)
+    split = (a - b) * (a + b)
+    rest = b2 * er + a2 * ez
+    quotient = (a2 * er + b2 * ez) / (1.0 + rest / s_helper) + (er * split) * (ez * split) / (s_helper + rest)
+    return np.ldexp(quotient, 2 * (c + m))
+
+
 def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     """Optimal QFIs of the families PMC1, PMC2 and PMC3, stacked along axis 0.
 
@@ -143,9 +169,9 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
     [e^{2r+2z} (alpha^2 - beta^2)^2 + S (alpha^2 e^{2r} + beta^2 e^{2z})] / bottom,
     a sum of non-negative terms.  Where top is 0 the plain sum is kept, so
     that the exact PMC1/PMC3 tie at beta = 0 is not broken by one rounding.
-    Where S overflows (r or z above about 177.4) top / bottom is taken with
-    both divided by u^2, u = sinh(2 max(r, z)), which stays finite up to
-    max(r, z) of about 355.
+    Where S overflows (r or z above about 177.4), or top does, top / bottom
+    comes from :func:`_scaled_quotient`, finite wherever the quotient is
+    while e^{2r} and e^{2z} are (r, z up to about 354.8).
 
     A term that overflows, of the squeeze factors or of the amplitudes,
     leaves inf or nan in the values of the families it enters, and only there.
@@ -166,26 +192,18 @@ def pmc_qfis(alpha, beta, r: float, z: float) -> np.ndarray:
         pmc1 = a2e2r + b2 / e2z + sh_plus
         coherent = a2e2r + _times(b2, e2z)
         pmc2 = coherent + sh_minus
-        split = (alpha - beta) * (alpha + beta)
         if math.isinf(s_helper):
-            # divide top and bottom by u^2, u = sinh(2 max(r, z)), finite up to about 355:
-            # e^{2r} / u and e^{2z} / u stay at most about 2, sinh(2 r) / u at most 1
-            u = _or_inf(math.sinh, 2.0 * max(r, z))
-            er, ez = e2r / u, e2z / u
-            s_u = 0.5 * ((_or_inf(math.sinh, 2.0 * r) / u) ** 2 + (_or_inf(math.sinh, 2.0 * z) / u) ** 2)
-            reduced = sh_plus + (((er * split) * (ez * split) + s_u * coherent)
-                                 / (s_u + (b2 / u) * er + (a2 / u) * ez))
+            quotient = _scaled_quotient(alpha, beta, r, z, e2r, e2z)
         else:
+            split = (alpha - beta) * (alpha + beta)
             bottom = s_helper + b2 * e2r + a2 * e2z
             top = e2r * e2z * (split * split) + s_helper * coherent
-            reduced = sh_plus + top / bottom
-            if np.isinf(top).any():
-                # the numerator alone overflows: divide first, every factor of
-                # e2r split * e2z split / bottom and S / bottom * coherent is bounded
-                scaled = sh_plus + ((e2r * split) * (e2z * (split / bottom))
-                                    + (s_helper / bottom) * coherent)
-                reduced = np.where(np.isinf(top), scaled, reduced)
-        pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, reduced)
+            quotient = top / bottom
+            if not np.isfinite(top).all():
+                # top overflows, or is e^{2r} e^{2z} = inf times a split of 0
+                quotient = np.where(np.isfinite(top), quotient,
+                                    _scaled_quotient(alpha, beta, r, z, e2r, e2z))
+        pmc3 = np.where(a2 * b2 == 0.0, coherent + sh_plus, sh_plus + quotient)
     return np.stack((pmc1, pmc2, pmc3))
 
 

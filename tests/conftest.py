@@ -4,9 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from mzgauss.detection import sensitivities, sensitivity
+from mzgauss._minimize import grid_minimize
+from mzgauss.detection import _LEVELS, _POLISH, _TIE, sensitivities, sensitivity
 from mzgauss.heisenberg import heisenberg_optima
 from mzgauss.interferometer import BsConvention
+from mzgauss.states import TWO_PI
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -56,6 +58,28 @@ def mp_fisher_elements(scenario):
                            - 2 * (1 + mpmath.sinh(r) ** 2 + mpmath.sinh(z) ** 2)
                            * mpmath.sin(theta_alpha - theta_beta))
     return f_ss, f_dd, f_sd
+
+
+def mp_pmc3(alpha, beta, r, z, dps=50):
+    """The published PMC3 QFI, cancellation and all, in ``dps``-digit mpmath."""
+    with mpmath.workdps(dps):
+        a, b, r, z = (mpmath.mpf(x) for x in (alpha, beta, r, z))
+        e2r, e2z = mpmath.exp(2 * r), mpmath.exp(2 * z)
+        bottom = ((mpmath.sinh(2 * r) ** 2 + mpmath.sinh(2 * z) ** 2) / 2
+                  + b * b * e2r + a * a * e2z)
+        return (a * a * e2r + b * b * e2z + mpmath.sinh(r + z) ** 2
+                - (a * b) ** 2 * (e2r + e2z) ** 2 / bottom)
+
+
+def polish_reference(scheme, scenario, phase, value):
+    """(phase, Delta phi) after the optimizer's grid polish, rebuilt on the public
+    ``sensitivities``: ``grid_minimize`` in the library's window and levels around
+    ``phase``, kept only where it is lower than ``value`` by the tie margin.  No
+    phase is masked, as no dark fringe is for the difference and homodyne schemes.
+    """
+    (center,), (low,) = grid_minimize(lambda trial: sensitivities([scheme], scenario, trial % TWO_PI)[0],
+                                      [phase], _POLISH, _LEVELS)
+    return (float(center % TWO_PI), float(low)) if low < value * (1.0 - _TIE) else (phase, value)
 
 
 def _golden_minimize(fn, lo, hi, tol):

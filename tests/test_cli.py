@@ -12,7 +12,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +26,7 @@ from mzgauss.fisher import qcrb, qfi, qfi_closed_form
 from mzgauss.heisenberg import PowerFractions
 from mzgauss.pmc import PmcSet, classify
 
-from conftest import scan_optimum
+from conftest import mp_pmc3, scan_optimum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -395,8 +394,8 @@ def test_verify_fails_on_a_planted_defect(monkeypatch, capsys):
     """Closed-form means raised by 1e-7 relative fail exactly the 12 mean rows of 30."""
     exact = detection.observable_stats
 
-    def planted(scheme, scenario, phases):
-        means, variances = exact(scheme, scenario, phases)
+    def planted(schemes, scenario, phases):
+        means, variances = exact(schemes, scenario, phases)
         return means * (1.0 + 1e-7), variances
 
     monkeypatch.setattr(detection, "observable_stats", planted)
@@ -535,25 +534,17 @@ def test_fisher_imports_nothing_from_pmc():
             assert all("pmc" not in alias.name.split(".") for alias in node.names)
 
 
-def _mp_pmc3(alpha, beta, r, z):
-    """The published PMC3 QFI, cancellation and all, in 50-digit mpmath."""
-    with mpmath.workdps(50):
-        a, b, r, z = (mpmath.mpf(x) for x in (alpha, beta, r, z))
-        e2r, e2z = mpmath.exp(2 * r), mpmath.exp(2 * z)
-        bottom = ((mpmath.sinh(2 * r) ** 2 + mpmath.sinh(2 * z) ** 2) / 2
-                  + b * b * e2r + a * a * e2z)
-        return (a * a * e2r + b * b * e2z + mpmath.sinh(r + z) ** 2
-                - (a * b) ** 2 * (e2r + e2z) ** 2 / bottom)
-
-
 @pytest.mark.parametrize("fractions,n_tot", [("1e-20,1e-20,1,0", "1e154"),
                                              ("0.2,1e-150,0.8,0", "1.3e154"),
-                                             ("1e-150,0.2,0.8,0", "1.3e154")])
+                                             ("1e-150,0.2,0.8,0", "1.3e154"),
+                                             ("0.1,0.1,0.5,0.3", "1e154")])
 def test_heisenberg_pmc3_past_an_overflowing_squeeze_sum(fractions, n_tot, capsys):
     """(sinh^2 2r + sinh^2 2z)/2 overflows at r = 178, but PMC3's value fits.
 
-    In the first two cases it is the plain sum to within an ulp.  In the last,
+    In the first two cases it is the plain sum to within an ulp.  In the third,
     beta^2 e^{2r} is near the double range and the plain sum 1.5 times the value.
+    In the last the squeeze sum fits, but e^{2r} e^{2z} overflows against
+    alpha = beta, an inf times 0 in the unscaled numerator.
     """
     code = main(["heisenberg", "--pmc", "pmc3", "--fractions", fractions, "--n-tot", n_tot])
     captured = capsys.readouterr()
@@ -562,7 +553,7 @@ def test_heisenberg_pmc3_past_an_overflowing_squeeze_sum(fractions, n_tot, capsy
     record = dict(zip(header, rows[0]))
     split = PowerFractions(*map(float, fractions.split(",")), n_tot=float(n_tot))
     magnitudes = split.to_magnitudes()
-    want = _mp_pmc3(*magnitudes)
+    want = mp_pmc3(*magnitudes)
     assert record["exact_qfi"] == fmt(float(want))
     assert abs(qfi_closed_form(*magnitudes, pmc=PmcSet.PMC3) - want) < 1e-15 * want
 
@@ -618,7 +609,8 @@ def _bound(scenario):
                             "port1.zeta.factor=0.3", "efficiency=0.9"]),
 ])
 def test_amplitude_sweep_columns_do_not_couple_schemes(axis, start, stop, sets, capsys):
-    """A three-scheme amplitude sweep prints, column for column, three one-scheme sweeps."""
+    """A three-scheme amplitude sweep prints, column for column, three one-scheme sweeps,
+    and the df and hom columns of a df,hom sweep, which polishes no row."""
     def table(scheme):
         assert main(_argv(axis, start, stop, 9, [*sets, f"scheme={scheme}"])) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -629,6 +621,7 @@ def test_amplitude_sweep_columns_do_not_couple_schemes(axis, start, stop, sets, 
         alone = table(scheme)
         assert [row[column] for row in together] == [row[1] for row in alone]
         assert [[row[0], row[-1]] for row in together] == [[row[0], row[-1]] for row in alone]
+    assert table("df,hom") == [[row[0], row[2], row[1], row[-1]] for row in together]
 
 
 @pytest.mark.parametrize("seed", range(10))

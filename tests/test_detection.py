@@ -23,7 +23,7 @@ from mzgauss.oracle import apply_first_bs, evolve_many, output_stats, prepare
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort, port_moments
 
-from conftest import mp_fisher_elements, relerr, scan_optimum
+from conftest import mp_fisher_elements, polish_reference, relerr, scan_optimum
 
 ALL_SCHEMES = (DifferenceIntensity(), SingleModeIntensity(), Homodyne())
 
@@ -253,7 +253,7 @@ def test_array_views_equal_scalar_views(rng):
         port0 = GaussianPort.from_params(0.4, 1.8, 0.7, 0.9)
         base = MziScenario(port1, port0, convention, efficiency=0.8)
         for scheme in ALL_SCHEMES:
-            means, variances = observable_stats(scheme, base, phis)
+            (means,), (variances,) = observable_stats([scheme], base, phis)
             values = sensitivities([scheme], base, phis)[0]
             for k, phi in enumerate(phis):
                 sc = base.with_phase(float(phi))
@@ -275,7 +275,8 @@ def test_stacked_sensitivities_equal_one_scheme_calls(local_phase, rng):
     """Row k of one call for several schemes is the one-scheme call for schemes[k], bit for bit.
 
     Over every ordered subset of df, sg and hom, on a phase array and on an
-    efficiency array, in both conventions, lossless and lossy.
+    efficiency array, in both conventions, lossless and lossy; the means and
+    variances of ``observable_stats`` on the phase array too.
     """
     schemes = (DifferenceIntensity(), SingleModeIntensity(), Homodyne(local_phase))
     phis = rng.uniform(-1.0, 7.0, 24)
@@ -291,6 +292,11 @@ def test_stacked_sensitivities_equal_one_scheme_calls(local_phase, rng):
                     assert values.shape == (len(subset), 24 if args[0] is phis else 9)
                     for k, scheme in enumerate(subset):
                         assert np.array_equal(values[k], sensitivities([scheme], base, *args)[0])
+            for subset in _ordered_subsets(schemes):
+                means, variances = observable_stats(list(subset), base, phis)
+                for k, scheme in enumerate(subset):
+                    (mean,), (variance,) = observable_stats([scheme], base, phis)
+                    assert np.array_equal(means[k], mean) and np.array_equal(variances[k], variance)
 
 
 def _number_moments(scenario):
@@ -364,7 +370,7 @@ def test_kernel_matches_per_phase_reference(rng):
                            efficiency=rng.choice([1.0, rng.uniform(0.5, 0.99)]))
         phis = rng.uniform(0, 2 * math.pi, 8)
         for scheme in ALL_SCHEMES + (Homodyne(local_phase=rng.uniform(0, 2 * math.pi)),):
-            means, variances = observable_stats(scheme, base, phis)
+            (means,), (variances,) = observable_stats([scheme], base, phis)
             values = sensitivities([scheme], base, phis)[0]
             for k, phi in enumerate(phis):
                 mean, var, slope = _per_phase_reference(scheme, base.with_phase(float(phi)))
@@ -407,6 +413,51 @@ def test_batched_working_points_equal_one_row_optima():
     assert abs(phases[1, 1] - 1.8981404501349168) < 1e-9
     twin = sensitivity(SingleModeIntensity(), mirror.with_phase(2 * math.pi - phases[1, 1]))
     assert twin.delta_phi == pytest.approx(values[1, 1], rel=1e-12)
+
+
+def _wide_scenario(rng):
+    """A scenario drawn over the CLI range: a PMC family or free phases, both
+    conventions, lossy or not, |alpha| and |beta| log-uniform in [1e-3, 1e7]
+    (beta = 0 for a squeezed-vacuum family) and squeeze factors up to 4."""
+    convention = rng.choice(list(BsConvention))
+    alpha, beta = 10.0 ** rng.uniform(-3.0, 7.0, 2)
+    r, z = rng.uniform(0.0, 4.0, 2)
+    family = rng.choice(list(PmcSet) + [None])
+    if family is None:
+        theta_alpha, phi_zeta, theta_beta, theta = rng.uniform(0.0, 2 * math.pi, 4)
+        ports = (GaussianPort.from_params(alpha, theta_alpha, z, phi_zeta),
+                 GaussianPort.from_params(beta, theta_beta, r, theta))
+    else:
+        if family.regime is not family:
+            beta = 0.0
+        ports = apply_pmc(family, rng.uniform(0.0, 2 * math.pi), alpha, beta, r, z, convention)
+    efficiency = rng.choice([1.0, rng.uniform(0.3, 0.99)])
+    return MziScenario(*ports, convention, rng.uniform(0.0, 2 * math.pi), efficiency)
+
+
+def test_working_point_rows_do_not_depend_on_the_scheme_set(rng):
+    """Row k of one pass is the one-scheme pass for schemes[k], bit for bit, over the CLI
+    range, with the single-mode scheme twice: only its rows are polished, block by block."""
+    scenarios = [_wide_scenario(rng) for _ in range(120)]
+    schemes = (SingleModeIntensity(), DifferenceIntensity(), Homodyne(), SingleModeIntensity(),
+               Homodyne(local_phase=0.9))
+    phases, values = working_points(schemes, scenarios)
+    for k, scheme in enumerate(schemes):
+        alone = working_points([scheme], scenarios)
+        assert np.array_equal(phases[k], alone[0][0]) and np.array_equal(values[k], alone[1][0])
+    pair = working_points(schemes[1:3], scenarios)
+    assert np.array_equal(pair[0], phases[1:3]) and np.array_equal(pair[1], values[1:3])
+
+
+def test_polish_never_lowers_a_difference_or_homodyne_optimum(rng):
+    """The optimizer polishes the single-mode rows alone.  Over 300 scenarios across the
+    CLI range, the same polish on a df or homodyne optimum never wins by the tie margin."""
+    scenarios = [_wide_scenario(rng) for _ in range(300)]
+    schemes = (DifferenceIntensity(), Homodyne(), Homodyne(local_phase=0.9))
+    phases, values = working_points(schemes, scenarios)
+    for k, scheme in enumerate(schemes):
+        for sc, phase, value in zip(scenarios, phases[k].tolist(), values[k].tolist()):
+            assert polish_reference(scheme, sc, phase, value) == (phase, value), (scheme, sc)
 
 
 def test_root_phases_pad_short_rows_with_their_first_phase():
@@ -575,7 +626,7 @@ def test_gram_factor_matches_50_digit_references(alpha, beta, r, z, phases, conv
                             (fm.f_sd, sign * ref[2], scale)):
         assert abs(got - want) <= 1e-12 * max(abs(size), 1), (got, want)
     for scheme, want in ((DifferenceIntensity(), df), (SingleModeIntensity(), sg)):
-        got = observable_stats(scheme, sc, [phi])[1][0]
+        got = observable_stats([scheme], sc, [phi])[1][0, 0]
         assert got >= 0.0
         assert abs(got - want) <= 1e-12 * max(abs(want), 1), (scheme, got, want)
 

@@ -1,6 +1,7 @@
 """Fisher matrix, QFI and Cramer-Rao bound, generic vs closed forms."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -14,7 +15,7 @@ from mzgauss.interferometer import BsConvention, MziScenario
 from mzgauss.pmc import PmcSet, apply_pmc
 from mzgauss.states import GaussianPort
 
-from conftest import mp_fisher_elements, relerr
+from conftest import mp_fisher_elements, mp_pmc3, relerr
 
 
 def test_both_vacuum_gives_zero_matrix():
@@ -174,6 +175,41 @@ def test_pmc3_closed_form_matches_decimal_reference(rng):
         assert relerr(value, _pmc3_decimal(alpha, beta, r, z), floor=0.0) < 1e-12
     assert relerr(qfi_closed_form(1e6, 1e6, 2.3, 2.2, pmc=PmcSet.PMC3), 4091.19268,
                   floor=0.0) < 1e-8
+
+
+@pytest.mark.parametrize("alpha,beta,r,z", [
+    (2.7386127875258306e110, 1549193338482.9668, 26.504123651516238, 177.47084701273656),
+    (6.69e148, 7.6e-44, 3.05, 269.1),
+    (3.162277660168379e76, 3.162277660168379e76, 177.6456257508215, 177.3902129389385),
+])
+def test_pmc3_closed_form_where_a_term_overflows(alpha, beta, r, z):
+    """PMC3 where bottom overflows through alpha^2 e^{2z} (7.9e243), where the squeeze
+    sum does and a product of the u-scaled numerator did (2.0e300), and where
+    e^{2r} e^{2z} overflows against alpha = beta (8.2e307)."""
+    want = mp_pmc3(alpha, beta, r, z)
+    assert abs(qfi_closed_form(alpha, beta, r, z, pmc=PmcSet.PMC3) - want) < 1e-15 * want
+
+
+def test_pmc3_closed_form_is_finite_wherever_its_value_fits(rng):
+    """Over r or z in [177.5, 354.5], where the squeeze sum overflows, and amplitudes up to
+    1e154: a value below the largest double is finite and within the rounding of r + z,
+    sinh^2(r + z) moving by 2 (r + z) ulp; a value above it raises.  The published form
+    cancels here by up to 460 digits, so the reference runs at 520."""
+    fits = 0
+    for _ in range(200):
+        r, z = rng.uniform(177.5, 354.5), rng.uniform(0.0, 354.5 if rng.uniform() < 0.5 else 5.0)
+        if rng.uniform() < 0.5:
+            r, z = z, r
+        alpha, beta = 10.0 ** rng.uniform(-150.0, 154.0, 2)
+        want = mp_pmc3(alpha, beta, r, z, dps=520)
+        if want < sys.float_info.max:
+            fits += 1
+            value = qfi_closed_form(alpha, beta, r, z, pmc=PmcSet.PMC3)
+            assert abs(value - want) < (1e-15 + 2.0 * (r + z) * 2.0 ** -52) * want
+        else:
+            with pytest.raises(NumericalOverflow):
+                qfi_closed_form(alpha, beta, r, z, pmc=PmcSet.PMC3)
+    assert fits > 50
 
 
 @settings(max_examples=300, deadline=None)
