@@ -268,6 +268,8 @@ def cmd_qfi(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     return 0
 
 
+_MAX_GRID = 100_000  # points of a --steps or --points axis: an alpha sweep holds about 16 kB a row
+
 _SWEEP_KEYS = {"phi": "phase", "alpha": "port1.alpha.magnitude",
                "beta": "port0.beta.magnitude", "eta": "efficiency"}
 
@@ -276,6 +278,8 @@ def cmd_sweep(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     axis, steps = args.axis, args.steps
     if steps < 2:
         raise ConfigError("sweep requires steps >= 2")
+    if steps > _MAX_GRID:
+        raise ConfigError(f"sweep requires --steps <= {_MAX_GRID}, got {steps}")
     n = load_config(args.config, args.set)
     tags = _schemes_from_config(n)
     schemes = [_scheme_object(tag, n["homodyne.local_phase"]) for tag in tags]
@@ -332,6 +336,8 @@ def cmd_regimes(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     r, z, points = args.r, args.z, args.points
     if points < 1:
         raise ConfigError("regimes requires points >= 1")
+    if points > _MAX_GRID:
+        raise ConfigError(f"regimes requires --points <= {_MAX_GRID}, got {points}")
     limits = boundaries(r, z)
 
     def axis(lo, hi):
@@ -430,12 +436,45 @@ def cmd_heisenberg(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
 
 
 _VERIFY_HEADER = ["case", "quantity", "phi", "closed", "oracle", "relerr", "pass"]
-_VERIFY_LINE = "%d,%s,%.12g,%.12g,%.12g,%.12g,%d\n"  # fmt() of each cell; pass is 0 or 1
-_FISHER_LINE = "%d,%s,,%.12g,%.12g,%.12g,%d\n"  # the same, with no phase
+_VERIFY_CELLS = ",%.12g,%.12g,%.12g,%.12g,%d\n"  # fmt() of each cell; pass is 0 or 1
+_FISHER_CELLS = ",,%.12g,%.12g,%.12g,%d\n"  # the same, with no phase
+# each scheme's mean and variance rows, in row order: their names, output_stats key and tolerances
+_VERIFY_SCHEMES = ((detection.DifferenceIntensity(), "nd", "n_diff"),
+                   (detection.SingleModeIntensity(), "n4", "n4"),
+                   (detection.Homodyne(), "x", "quad"))
+_VERIFY_NAMES = [f"{stat}_{name}" for _, name, _ in _VERIFY_SCHEMES for stat in ("mean", "var")]
+_VERIFY_TOLS = np.array([1e-8, 1e-6] * len(_VERIFY_SCHEMES))[:, None, None]
+_VERIFY_BLOCK = 1 << 18  # amplitudes per block of cases: the oracle's arrays stay flat in --samples
+_MAX_N_MAX = 256  # the cached beam-splitter stacks grow as n_max^3: 94 MB at 256
+_MAX_CASE = 1 << 24  # amplitudes of one case's evolved batch, (n_max + 1)^2 per phase
 
 
-def _relerr(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
+def _verify_rows(cases, phis, closed, measured, fisher) -> tuple[list[str], int]:
+    """The CSV text of a block of verify cases, one string per phase, and its failed checks.
+
+    ``closed`` and ``measured`` hold each scheme's mean and variance rows as
+    ``(6, cases, phases)`` arrays, ``fisher`` the closed-form and the oracle
+    F_ss, F_dd and |F_sd| as ``(2, cases, 3)``.  Each relative error is
+    ``abs(a - b) / max(abs(a), abs(b), floor)``, the same IEEE operations cell
+    by cell, and each phase's six rows take one ``%``.
+    """
+    rel = np.abs(closed - measured) / np.maximum(np.maximum(np.abs(closed), np.abs(measured)), 1.0)
+    passed = rel < _VERIFY_TOLS
+    a, b = fisher
+    floor = 1e-6 * np.maximum(np.maximum(a[:, :1], a[:, 1:2]), 1.0)
+    fisher_rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    fisher_passed = fisher_rel < 1e-4
+    # the cells of each phase's rows, in row order
+    table = np.stack([np.broadcast_to(phis, closed.shape), closed, measured, rel, passed], axis=-1)
+    table = table.transpose(1, 2, 0, 3).reshape(len(cases), phis.shape[1], 5 * len(_VERIFY_NAMES))
+    fisher_table = np.stack([a, b, fisher_rel, fisher_passed], axis=-1).reshape(len(cases), -1)
+    text = []
+    for case, case_table, fisher_cells in zip(cases, table.tolist(), fisher_table.tolist()):
+        rows = "".join(f"{case},{name}{_VERIFY_CELLS}" for name in _VERIFY_NAMES)
+        text += [rows % tuple(cells) for cells in case_table]
+        text.append("".join(f"{case},{qty}{_FISHER_CELLS}" for qty in ("f_ss", "f_dd", "f_sd"))
+                    % tuple(fisher_cells))
+    return text, passed.size + fisher_passed.size - int(passed.sum()) - int(fisher_passed.sum())
 
 
 def cmd_verify(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
@@ -444,61 +483,61 @@ def cmd_verify(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     samples, phases, n_max = args.samples, args.phases, args.n_max
     if n_max < 2:  # the truncation check measures the top two shells: no shell would be left
         raise ConfigError(f"verify requires --n-max >= 2, got {n_max}")
+    if n_max > _MAX_N_MAX:
+        raise ConfigError(f"verify requires --n-max <= {_MAX_N_MAX}, got {n_max}")
+    dim = n_max + 1
+    if phases * dim * dim > _MAX_CASE:
+        raise ConfigError(f"verify requires --phases <= {_MAX_CASE // (dim * dim)} at --n-max {n_max} "
+                          f"(2^24 amplitudes per case), got {phases}")
     rng = np.random.default_rng(args.seed)
-    rows = []
-    failures = 0
     if samples <= 0:
         err.write("verify: empty box, vacuous pass\n")
         _write_csv(out, ["# verify: empty box"], _VERIFY_HEADER, [])
         return 0
 
-    schemes = [("mean_nd", detection.DifferenceIntensity(), "n_diff", 1e-8),
-               ("mean_n4", detection.SingleModeIntensity(), "n4", 1e-8),
-               ("mean_x", detection.Homodyne(), "quad", 1e-8)]
+    schemes = [scheme for scheme, _, _ in _VERIFY_SCHEMES]
+    highs = np.array([args.alpha_max, 2.0 * math.pi, args.squeeze_max, 2.0 * math.pi,
+                      args.beta_max, 2.0 * math.pi, args.squeeze_max, 2.0 * math.pi])
+    text, failures = [], 0
+    block = max(1, _VERIFY_BLOCK // (dim * dim))
+    for first in range(0, samples, block):
+        cases = range(first, min(samples, first + block))
+        # draw and prepare in case order: a case's 8 port draws, then its phases, so
+        # that a TruncationError comes from the first case that does not fit
+        scenarios, states, phis = [], [], []
+        for case in cases:
+            draws = rng.uniform(0.0, highs).tolist()  # port 1, then port 0: magnitude, phase, squeeze, phase
+            scenarios.append(MziScenario(GaussianPort.from_params(*draws[:4]), GaussianPort.from_params(*draws[4:]),
+                                         BsConvention.SYMMETRIC if case % 2 == 0 else BsConvention.CUBE))
+            states.append(oracle.prepare(scenarios[-1], n_max))
+            phis.append(rng.uniform(0.0, 2.0 * math.pi, phases))
+        phis = np.array(phis)
+        # one first beam splitter for the block, each state then contiguous on axis 0
+        insides = np.moveaxis(oracle.apply_first_bs(np.stack(states, axis=-1),
+                                                    [sc.convention for sc in scenarios]), -1, 0).copy()
+        closed = np.stack(detection.observable_stats(schemes, scenarios, phis), axis=1)
+        closed = closed.reshape(len(_VERIFY_NAMES), len(cases), phases)
+        measured = np.empty_like(closed)
+        fisher = np.empty((2, len(cases), 3))
+        for j, (scenario, inside) in enumerate(zip(scenarios, insides)):
+            stats = oracle.output_stats(oracle.evolve_many(inside, phis[j]),
+                                        scenario.port1.displacement.phase)
+            for k, (_, _, key) in enumerate(_VERIFY_SCHEMES):
+                measured[2 * k, j] = stats[key]
+                measured[2 * k + 1, j] = stats[key + "_sq"] - stats[key] ** 2
+            for side, fm in enumerate((fisher_matrix(scenario), oracle.generator_fisher(inside))):
+                fisher[side, j] = fm.f_ss, fm.f_dd, abs(fm.f_sd)
+        block_text, block_failures = _verify_rows(cases, phis, closed, measured, fisher)
+        text += block_text
+        failures += block_failures
 
-    for case in range(samples):
-        port1 = GaussianPort.from_params(
-            rng.uniform(0.0, args.alpha_max), rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, args.squeeze_max), rng.uniform(0.0, 2.0 * math.pi))
-        port0 = GaussianPort.from_params(
-            rng.uniform(0.0, args.beta_max), rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, args.squeeze_max), rng.uniform(0.0, 2.0 * math.pi))
-        convention = BsConvention.SYMMETRIC if case % 2 == 0 else BsConvention.CUBE
-        base = MziScenario(port1, port0, convention)
-        inside = oracle.apply_first_bs(oracle.prepare(base, n_max), convention)
-        phis = rng.uniform(0.0, 2.0 * math.pi, phases)
-
-        stats = oracle.output_stats(oracle.evolve_many(inside, phis), base.port1.displacement.phase)
-        checks = []  # (name, closed, oracle, tol), each value one entry per phase
-        closed_means, closed_variances = detection.observable_stats(
-            [scheme for _, scheme, _, _ in schemes], base, phis)
-        for (name, _, obs, tol), means, variances in zip(schemes, closed_means, closed_variances):
-            checks += [(name, means, stats[obs], tol),
-                       (name.replace("mean", "var"), variances, stats[obs + "_sq"] - stats[obs] ** 2, 1e-6)]
-        for i, phi in enumerate(phis):
-            for name, closed, meas, tol in checks:
-                rel = _relerr(closed[i], meas[i])
-                ok = rel < tol
-                failures += not ok
-                rows.append(_VERIFY_LINE % (case, name, phi, closed[i], meas[i], rel, ok))
-
-        closed_fm = fisher_matrix(base)
-        oracle_fm = oracle.generator_fisher(inside)
-        scale = max(closed_fm.f_ss, closed_fm.f_dd, 1.0)
-        for qty, a, b in (("f_ss", closed_fm.f_ss, oracle_fm.f_ss),
-                          ("f_dd", closed_fm.f_dd, oracle_fm.f_dd),
-                          ("f_sd", abs(closed_fm.f_sd), abs(oracle_fm.f_sd))):
-            rel = abs(a - b) / max(abs(a), abs(b), 1e-6 * scale)
-            ok = rel < 1e-4
-            failures += not ok
-            rows.append(_FISHER_LINE % (case, qty, a, b, rel, ok))
-
+    checks = samples * (len(_VERIFY_NAMES) * phases + 3)
     _write_csv(out, [_flags_comment(args)], _VERIFY_HEADER, [])
-    out.writelines(rows)
+    out.writelines(text)
     if failures:
-        err.write(f"verify: {failures} of {len(rows)} checks FAILED\n")
+        err.write(f"verify: {failures} of {checks} checks FAILED\n")
         return 3
-    err.write(f"verify: all {len(rows)} checks passed\n")
+    err.write(f"verify: all {checks} checks passed\n")
     return 0
 
 

@@ -198,7 +198,11 @@ def _check_finite(var) -> None:
 
 
 def _evaluate(schemes, terms, at: _Phases, excess) -> np.ndarray:
-    """Mean, variance and slope of every scheme on one scenario, as a (3, len(schemes), ...) array."""
+    """Mean, variance and slope of every scheme, as a (3, len(schemes), ...) array.
+
+    ``terms`` are those of one scenario (:func:`_terms`) or of a stack of
+    them (:func:`_stacked`).
+    """
     out = np.empty((3, len(schemes), *np.broadcast(at.phi, excess).shape))
     with np.errstate(over="ignore", invalid="ignore"):  # a variance that overflows raises below
         for k, (scheme, scheme_terms) in enumerate(zip(schemes, terms)):
@@ -222,20 +226,23 @@ def _delta_phi(var, slope):
 
 def _check_positive(values) -> None:
     """The :class:`SensitivityPoint` contract for arrays: every value is positive or +inf."""
-    bad = ~((values > 0.0) | np.isinf(values))
+    bad = ~(values > 0.0)
     if bad.any():
         raise ValueError(f"delta_phi must be positive or +inf, got {float(values[bad][0])}")
 
 
-def observable_stats(schemes, scenario: MziScenario, phases):
-    """Means and variances of every scheme's ideal observable at each of ``phases``.
+def observable_stats(schemes, scenarios, phases):
+    """Means and variances of every scheme's ideal observable on every scenario at its own phases.
 
-    Both are ``(len(schemes), ...)`` arrays from one pass, as in
-    :func:`sensitivities`; row ``k`` is that of ``schemes[k]``.  The variance
-    includes detector loss, in units of the ideal observable.
+    ``phases`` holds one row of phases per scenario, ``(len(scenarios), P)``,
+    or broadcasts against ``(len(scenarios), 1)``.  Both results are
+    ``(len(schemes), len(scenarios), P)`` arrays from one kernel pass over the
+    :func:`_stacked` constants, as in :func:`working_points`: entry ``[k, j]``
+    is bit for bit that of ``schemes[k]`` on ``scenarios[j]`` alone.  The
+    variance includes detector loss, in units of the ideal observable.
     """
-    mean, var, _ = _evaluate(schemes, _terms(schemes, scenario),
-                             _Phases(np.asarray(phases, dtype=float)), _excess(scenario.efficiency))
+    stacks, excess = _stacked(schemes, scenarios)
+    mean, var, _ = _evaluate(schemes, stacks, _Phases(np.asarray(phases, dtype=float)), excess)
     return mean, var
 
 
@@ -259,12 +266,12 @@ def sensitivities(schemes, scenario: MziScenario, phases, efficiencies=None) -> 
 
 def observable_mean(scheme: DetectionScheme, scenario: MziScenario) -> float:
     """Mean of the ideal (lossless) observable at the scenario phase."""
-    return float(observable_stats([scheme], scenario, [scenario.phase])[0][0, 0])
+    return float(observable_stats([scheme], [scenario], scenario.phase)[0][0, 0, 0])
 
 
 def observable_variance(scheme: DetectionScheme, scenario: MziScenario) -> float:
     """Variance at the scenario phase, detector loss included, in units of the ideal observable."""
-    return float(observable_stats([scheme], scenario, [scenario.phase])[1][0, 0])
+    return float(observable_stats([scheme], [scenario], scenario.phase)[1][0, 0, 0])
 
 
 def sensitivity(scheme: DetectionScheme, scenario: MziScenario) -> SensitivityPoint:

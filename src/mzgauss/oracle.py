@@ -35,8 +35,9 @@ Layout: a two-mode state is a plain (n_max+1) x (n_max+1) complex amplitude
 array; a function given a state reads n_max from its shape and never writes
 to it.  Axis 0 is input port 0, axis 1 is input port 1.  Any trailing axes
 are a batch of states: :func:`evolve_many` returns one (dim, dim, phases)
-array, and :func:`apply_first_bs`, :func:`attenuate` and
-:func:`output_stats` act on every state of a batch at once.  After
+array, and :func:`apply_first_bs` (with one convention per state, if need
+be), :func:`attenuate` and :func:`output_stats` act on every state of a
+batch at once.  After
 :func:`apply_first_bs` the axes hold the two internal modes, and after
 :func:`evolve_many` axis 0 reads out output port 4 and axis 1 output port 5.
 The global phase is compensated, not dropped, so the usual input->output
@@ -239,16 +240,20 @@ def _scatter(plan: _SectorPlan, slots: np.ndarray, shape: tuple) -> np.ndarray:
     return np.take(slots, plan.inverse, axis=0).reshape(shape)
 
 
-def _apply_sectors(plan: _SectorPlan, stacks, slots: np.ndarray) -> None:
+def _apply_sectors(plan: _SectorPlan, stacks, slots: np.ndarray, width: int | None = None) -> None:
     """Apply a sector-stacked real rotation in place to ``slots``, the plan's (slots, k) layout.
 
     The real view puts each column's real and imaginary parts side by side as
     2k real columns, so each bucket is one real stacked product; only its
-    bucket-sized result is a new array.
+    bucket-sized result is a new array.  With ``width`` the product is taken
+    ``width`` complex columns at a time instead, broadcast over the k / width
+    groups, so a column's bits do not depend on k.
     """
     cols = slots.view(float)
+    k = slots.shape[1]
+    groups = (1, 2 * k) if width is None else (k // width, 2 * width)
     for (part, _, real), stack in zip(plan.buckets, stacks):
-        block = cols[part].reshape(real.shape + (cols.shape[1],))
+        block = cols[part].reshape(real.shape + groups).transpose(2, 0, 1, 3)
         block[...] = stack @ block
 
 
@@ -257,17 +262,43 @@ def _i_powers(n_max: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(n_max + 1) % 4]
 
 
-def apply_first_bs(amps: np.ndarray, convention: BsConvention = BsConvention.SYMMETRIC) -> np.ndarray:
-    """State just after the first beam splitter, shaped like ``amps`` (internal modes on the two axes)."""
+@functools.lru_cache(maxsize=2)
+def _first_bs_phases(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first beam splitter's phases in the slot layout.
+
+    e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, after the cube convention's turn of
+    port 0: the inner phases as one column per convention (symmetric, cube),
+    and the outer i^n0 as one column.
+    """
+    plan = _sector_plan(n_max)
+    turns = np.array([0.0, CUBE_PORT0_ROTATION])
+    inner = np.exp(1j * (turns - 0.5 * math.pi) * np.arange(n_max + 1)[:, None])
+    return inner[plan.n0], _i_powers(n_max)[plan.n0, None]
+
+
+def apply_first_bs(amps: np.ndarray, convention=BsConvention.SYMMETRIC) -> np.ndarray:
+    """State just after the first beam splitter, shaped like ``amps`` (internal modes on the two axes).
+
+    ``convention`` is one :class:`BsConvention` for every state, or a sequence
+    of them, one per state of a ``(dim, dim, states)`` batch: the cube
+    convention's turn of port 0 picks each state's column of phases.  So a
+    batch of mixed conventions is one gather, one rotation and one scatter.
+    The rotation takes the states two at a time, a lone one beside a zero
+    state: BLAS picks its kernel by the column count, so a fixed count keeps
+    every state bit for bit as it comes out alone, in any batch.
+    """
     n_max = amps.shape[0] - 1
     plan = _sector_plan(n_max)
-    turn = CUBE_PORT0_ROTATION if convention is BsConvention.CUBE else 0.0
-    # e^{i pi/2 n0} R(pi/4) e^{-i pi/2 n0}, after the cube convention's turn of port 0
-    inner = np.exp(1j * (turn - 0.5 * math.pi) * np.arange(n_max + 1))
+    inner, outer = _first_bs_phases(n_max)
+    conventions = [convention] if isinstance(convention, BsConvention) else convention
     slots = _gather(plan, amps)
-    slots *= inner[plan.n0, None]
-    _apply_sectors(plan, _balanced_stacks(n_max), slots)
-    slots *= _i_powers(n_max)[plan.n0, None]
+    states = slots.shape[1]
+    slots *= inner[:, [int(c is BsConvention.CUBE) for c in conventions]]
+    if states % 2:
+        slots = np.concatenate([slots, np.zeros((len(slots), 1), dtype=complex)], axis=1)
+    _apply_sectors(plan, _balanced_stacks(n_max), slots, width=2)
+    slots = slots[:, :states]
+    slots *= outer
     return _scatter(plan, slots, amps.shape)
 
 
@@ -316,6 +347,11 @@ def attenuate(amps: np.ndarray, transmission: float) -> np.ndarray:
     return _scatter(plan, slots, amps.shape)
 
 
+def _weigh(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_n weights[n] values[n, ...], one vector-matrix product, with the shape of values[0]."""
+    return (weights @ values.reshape(len(weights), -1)).reshape(values.shape[1:])
+
+
 def output_stats(amps: np.ndarray, local_phase: float = 0.0) -> dict[str, np.ndarray]:
     """<psi| O |psi> for every output observable, from |psi|^2 and two ladder moments.
 
@@ -340,19 +376,19 @@ def output_stats(amps: np.ndarray, local_phase: float = 0.0) -> dict[str, np.nda
     p = np.abs(amps)
     p *= p
     p4, p5 = np.einsum("ij...->i...", p), p.sum(axis=0)
-    n4, n5 = np.tensordot(ns, p4, axes=1), np.tensordot(ns, p5, axes=1)
-    n4_sq = np.tensordot(ns ** 2, p4, axes=1)
-    cross = np.tensordot(ns, np.tensordot(ns, p, axes=1), axes=1)  # <n4 n5>
+    n4, n5 = _weigh(ns, p4), _weigh(ns, p5)
+    n4_sq = _weigh(ns ** 2, p4)
+    cross = _weigh(ns, _weigh(ns, p))  # <n4 n5>
     # <a> = sum sqrt(n+1) psi*[n] psi[n+1] and <a^2> likewise; vecdot conjugates its first argument
     root = np.sqrt(ns[1:])
-    mean_a = np.tensordot(root, np.vecdot(amps[:-1], amps[1:], axis=1), axes=1)
-    mean_a2 = np.tensordot(root[:-1] * root[1:], np.vecdot(amps[:-2], amps[2:], axis=1), axes=1)
+    mean_a = _weigh(root, np.vecdot(amps[:-1], amps[1:], axis=1))
+    mean_a2 = _weigh(root[:-1] * root[1:], np.vecdot(amps[:-2], amps[2:], axis=1))
     return {
         "n4": n4,
         "n5": n5,
         "n_diff": n4 - n5,
         "n4_sq": n4_sq,
-        "n_diff_sq": n4_sq + np.tensordot(ns ** 2, p5, axes=1) - 2.0 * cross,
+        "n_diff_sq": n4_sq + _weigh(ns ** 2, p5) - 2.0 * cross,
         "quad": (np.exp(-1j * local_phase) * mean_a).real,
         "quad_sq": (0.5 * (np.exp(-2j * local_phase) * mean_a2).real + 0.5 * n4
                     + 0.25 * (1.0 - (n_max + 1) * p4[-1])),

@@ -103,6 +103,15 @@ def test_sweep_requires_two_steps(capsys):
     assert "steps" in capsys.readouterr().err
 
 
+def test_sweep_takes_steps_up_to_its_bound(capsys):
+    """The --steps bound is inclusive: a phi sweep of 100 000 steps prints every row."""
+    argv = ["sweep", "--axis", "phi", "--start", "0", "--stop", "1", "--steps", "100000",
+            "--set", "port1.alpha.magnitude=2", "--set", "scheme=df"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 100000 + 3  # the config and axis comments and the header
+
+
 def test_sweep_homodyne_column_hits_closed_form(capsys):
     code = main(["sweep", "--axis", "phi", "--start", "0.5*pi", "--stop", "1.5*pi",
                  "--steps", "3", "--set", "port1.alpha.magnitude=1000",
@@ -380,6 +389,22 @@ _CONFIG_FILES = {"list.json": "[1, 2]", "unknown.json": '{"bogus": 1}'}
     # the first of two efficiencies past 1 is named
     (["sweep", "--axis", "eta", "--start", "0.5", "--stop", "2", "--steps", "4"],
      "efficiency must be in (0, 1], got 1.5\n"),
+    # a size flag past its bound is refused before anything is allocated
+    (["sweep", "--axis", "phi", "--start", "0", "--stop", "1", "--steps", "100000000000000000000"],
+     "sweep requires --steps <= 100000, got 100000000000000000000\n"),
+    (["sweep", "--axis", "alpha", "--start", "0", "--stop", "1", "--steps", "100001"],
+     "sweep requires --steps <= 100000, got 100001\n"),
+    (["regimes", "--r", "1", "--z", "1", "--points", "100000000000000000000"],
+     "regimes requires --points <= 100000, got 100000000000000000000\n"),
+    (["verify", "--samples", "1", "--phases", "100000000000000000000"],
+     "verify requires --phases <= 4508 at --n-max 60 (2^24 amplitudes per case), "
+     "got 100000000000000000000\n"),
+    (["verify", "--samples", "1", "--phases", "1", "--n-max", "100000000000000000000"],
+     "verify requires --n-max <= 256, got 100000000000000000000\n"),
+    (["verify", "--samples", "0", "--phases", "4509"],
+     "verify requires --phases <= 4508 at --n-max 60 (2^24 amplitudes per case), got 4509\n"),
+    (["verify", "--samples", "1", "--n-max", "256", "--phases", "255"],
+     "verify requires --phases <= 254 at --n-max 256 (2^24 amplitudes per case), got 255\n"),
 ])
 def test_config_errors_name_their_cause(argv, message, tmp_path, capsys):
     for name, text in _CONFIG_FILES.items():
@@ -394,8 +419,8 @@ def test_verify_fails_on_a_planted_defect(monkeypatch, capsys):
     """Closed-form means raised by 1e-7 relative fail exactly the 12 mean rows of 30."""
     exact = detection.observable_stats
 
-    def planted(schemes, scenario, phases):
-        means, variances = exact(schemes, scenario, phases)
+    def planted(schemes, scenarios, phases):
+        means, variances = exact(schemes, scenarios, phases)
         return means * (1.0 + 1e-7), variances
 
     monkeypatch.setattr(detection, "observable_stats", planted)

@@ -15,6 +15,7 @@ from mzgauss.detection import (DifferenceIntensity, Homodyne, SensitivityPoint,
                                observable_stats, observable_variance,
                                optimal_working_point, sensitivities,
                                sensitivity, working_points)
+from mzgauss import detection
 from mzgauss.detection import _root_phases
 from mzgauss.errors import FlatObjective
 from mzgauss.fisher import fisher_matrix, qcrb, qfi
@@ -253,7 +254,7 @@ def test_array_views_equal_scalar_views(rng):
         port0 = GaussianPort.from_params(0.4, 1.8, 0.7, 0.9)
         base = MziScenario(port1, port0, convention, efficiency=0.8)
         for scheme in ALL_SCHEMES:
-            (means,), (variances,) = observable_stats([scheme], base, phis)
+            means, variances = (x[0, 0] for x in observable_stats([scheme], [base], [phis]))
             values = sensitivities([scheme], base, phis)[0]
             for k, phi in enumerate(phis):
                 sc = base.with_phase(float(phi))
@@ -293,10 +294,42 @@ def test_stacked_sensitivities_equal_one_scheme_calls(local_phase, rng):
                     for k, scheme in enumerate(subset):
                         assert np.array_equal(values[k], sensitivities([scheme], base, *args)[0])
             for subset in _ordered_subsets(schemes):
-                means, variances = observable_stats(list(subset), base, phis)
+                means, variances = observable_stats(list(subset), [base], [phis])
                 for k, scheme in enumerate(subset):
-                    (mean,), (variance,) = observable_stats([scheme], base, phis)
+                    (mean,), (variance,) = observable_stats([scheme], [base], [phis])
                     assert np.array_equal(means[k], mean) and np.array_equal(variances[k], variance)
+
+
+def test_stacked_observable_stats_equal_one_scenario_calls(rng):
+    """Entry [k, j] of one call over many scenarios is schemes[k] on scenarios[j] alone, bit for bit.
+
+    Over 60 scenarios across the CLI range, each at its own phases.  The
+    one-scenario call is in turn the kernel on that scenario's own unstacked
+    constants, and one row of phases broadcasts to every scenario.
+    """
+    schemes = [DifferenceIntensity(), SingleModeIntensity(), Homodyne(), Homodyne(1.3)]
+    scenarios = [_wide_scenario(rng) for _ in range(60)]
+    phis = rng.uniform(-1.0, 7.0, (len(scenarios), 7))
+    means, variances = observable_stats(schemes, scenarios, phis)
+    assert means.shape == variances.shape == (len(schemes), len(scenarios), 7)
+    for j, (sc, row) in enumerate(zip(scenarios, phis)):
+        alone = observable_stats(schemes, [sc], [row])
+        assert np.array_equal(alone[0][:, 0], means[:, j]) and np.array_equal(alone[1][:, 0], variances[:, j])
+        mean, variance, _ = detection._evaluate(schemes, detection._terms(schemes, sc),
+                                                detection._Phases(row), detection._excess(sc.efficiency))
+        assert np.array_equal(mean, means[:, j]) and np.array_equal(variance, variances[:, j])
+    shared = observable_stats(schemes, scenarios, phis[0])
+    for got, want in zip(shared, observable_stats(schemes, scenarios, np.tile(phis[0], (len(scenarios), 1)))):
+        assert np.array_equal(got, want)
+
+
+def test_sensitivity_point_is_positive_or_plus_inf():
+    """The contract of a Delta phi: a positive number, or +inf for an undefined one."""
+    for value in (1e-300, 0.5, 3e200, math.inf):
+        assert SensitivityPoint(0.0, value).delta_phi == value
+    for value in (0.0, -0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta_phi must be positive or \\+inf"):
+            SensitivityPoint(0.0, value)
 
 
 def _number_moments(scenario):
@@ -370,7 +403,7 @@ def test_kernel_matches_per_phase_reference(rng):
                            efficiency=rng.choice([1.0, rng.uniform(0.5, 0.99)]))
         phis = rng.uniform(0, 2 * math.pi, 8)
         for scheme in ALL_SCHEMES + (Homodyne(local_phase=rng.uniform(0, 2 * math.pi)),):
-            (means,), (variances,) = observable_stats([scheme], base, phis)
+            means, variances = (x[0, 0] for x in observable_stats([scheme], [base], [phis]))
             values = sensitivities([scheme], base, phis)[0]
             for k, phi in enumerate(phis):
                 mean, var, slope = _per_phase_reference(scheme, base.with_phase(float(phi)))
@@ -626,7 +659,7 @@ def test_gram_factor_matches_50_digit_references(alpha, beta, r, z, phases, conv
                             (fm.f_sd, sign * ref[2], scale)):
         assert abs(got - want) <= 1e-12 * max(abs(size), 1), (got, want)
     for scheme, want in ((DifferenceIntensity(), df), (SingleModeIntensity(), sg)):
-        got = observable_stats([scheme], sc, [phi])[1][0, 0]
+        got = observable_stats([scheme], [sc], [[phi]])[1][0, 0, 0]
         assert got >= 0.0
         assert abs(got - want) <= 1e-12 * max(abs(want), 1), (scheme, got, want)
 

@@ -284,7 +284,12 @@ def test_evolve_many_without_phases():
 
 @pytest.mark.parametrize("convention", list(BsConvention))
 def test_batch_axes_match_each_state_alone(convention, rng):
-    """A batch of phases, measured or attenuated at once, matches each phase sliced out alone."""
+    """A batch of phases, measured or attenuated at once, matches each phase sliced out alone.
+
+    A batch of first beam splitters, with mixed conventions, an even or an
+    odd number of states, or one convention for all, is each state alone bit
+    for bit.
+    """
     port1 = GaussianPort.from_params(1.1, 2.3, 0.5, 0.4)
     port0 = GaussianPort.from_params(0.8, 0.9, 0.3, 4.1)
     inside = apply_first_bs(prepare(MziScenario(port1, port0, convention), 60), convention)
@@ -298,6 +303,19 @@ def test_batch_axes_match_each_state_alone(convention, rng):
             assert stats[name].shape == phis.shape
             assert abs(stats[name][k] - value) <= 1e-14 * max(abs(value), 1.0), name
         assert np.abs(lossy[:, :, k] - attenuate(alone, 0.7)).max() < 1e-14
+
+    other = BsConvention.CUBE if convention is BsConvention.SYMMETRIC else BsConvention.SYMMETRIC
+    for count in (2, 5, 8):
+        conventions = [convention if k % 3 else other for k in range(count)]
+        states = [prepare(MziScenario(GaussianPort.from_params(*rng.uniform(0, [1.2, 2 * math.pi, 0.6, 2 * math.pi])),
+                                      GaussianPort.from_params(*rng.uniform(0, [1.2, 2 * math.pi, 0.6, 2 * math.pi]))), 60)
+                  for _ in range(count)]
+        for given in (conventions, convention):
+            batch = apply_first_bs(np.stack(states, axis=-1), given)
+            assert batch.shape == (61, 61, count)
+            for k, state in enumerate(states):
+                alone = apply_first_bs(state, given if given is convention else conventions[k])
+                assert batch[:, :, k].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("convention", list(BsConvention))
